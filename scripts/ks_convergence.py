@@ -29,15 +29,12 @@ def main() -> None:
     for text in args.partitions.split(","):
         a = Partition.parse(text.replace("+", " "))
         ref = moment_usp(args.n, a)
-        errs = {}
-        for q in q_list:
-            value = empirical_moment(fields[q], args.n, a, args.mode)
-            errs[q] = abs(value - ref)
+        values = {q: empirical_moment(fields[q], args.n, a, args.mode) for q in q_list}
+        errs = {q: abs(value - ref) for q, value in values.items()}
         fitted = max(err * math.sqrt(q) for q, err in errs.items())
         for q in q_list:
-            value = empirical_moment(fields[q], args.n, a, args.mode)
             print(
-                f"{a.format():>10} {q:>4} {value:>12.6f} {ref:>7} {errs[q]:>10.6f} {fitted / math.sqrt(q):>10.6f}"
+                f"{a.format():>10} {q:>4} {values[q]:>12.6f} {ref:>7} {errs[q]:>10.6f} {fitted / math.sqrt(q):>10.6f}"
             )
 
 

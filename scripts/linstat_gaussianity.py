@@ -11,6 +11,7 @@ eta_m (m-1)!! ||f||^m nu^(m/2), and their ratio.
 import argparse
 import math
 
+from symp.errors import OutOfRange
 from symp.linstat import FourierTestFn, statistic_moment_exact, statistic_moment_gaussian
 
 
@@ -28,8 +29,13 @@ def main() -> None:
     for n in ns:
         nu = n // 2
         for m in ms:
-            exact = statistic_moment_exact(n, nu, m, f)
             main_term = statistic_moment_gaussian(n, nu, m, f)
+            try:
+                exact = statistic_moment_exact(n, nu, m, f)
+            except OutOfRange:
+                # some multi-index needs a partition of size > 4n+1
+                print(f"{n:>5} {nu:>5} {m:>3} {'out of range':>16} {main_term:>14.4f}")
+                continue
             if main_term:
                 ratio = f"{float(exact) / main_term:10.5f}"
             else:

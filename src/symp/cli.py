@@ -88,6 +88,14 @@ def _parse_partition(text: str, flag: str) -> Partition:
         raise ParseError(f"{flag}: {exc}") from exc
 
 
+def _check_orders(args) -> None:
+    """Reject a negative matrix size --n or moment order --m."""
+    for flag in ("n", "m"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag}: must be non-negative, got {value}")
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -288,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_orders(args)
         rows = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,12 +93,6 @@ def poly_is_monic(f: Poly) -> bool:
     return bool(f) and f[-1] == 1
 
 
-def poly_add(field: PrimeField, f: Poly, g: Poly) -> Poly:
-    q = field.q
-    n = max(len(f), len(g))
-    return poly_trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % q for i in range(n)])
-
-
 def poly_sub(field: PrimeField, f: Poly, g: Poly) -> Poly:
     q = field.q
     n = max(len(f), len(g))

@@ -6,8 +6,14 @@ trace moments:
 
     E[W^m] = sum_{j_1..j_m} fhat(j_1-nu) ... fhat(j_m-nu) E[prod tr(U^{j_i})]
 
-with tr(U^0) = 2n and tr(U^-j) = tr(U^j) folded in.  When the Fourier table
-is rational the expansion is evaluated in exact rational arithmetic.
+Since tr(U^-j) = tr(U^j) and tr(U^0) = 2n, the indices +-j fold into one
+weight F_j = fhat(j-nu) + fhat(-j-nu) and the index 0 into the constant
+2n fhat(-nu).  ``statistic_moment_exact`` hands these weights, scaled to
+integers by their common denominator, to :func:`symp.moments.moment_usp_sum`,
+the dynamic programme behind ``moment_usp``; with states (parts placed,
+size c, size d) it sums the whole expansion at once instead of one moment per
+multi-index.  Rational tables give exact results; float tables are converted
+exactly and the result is rounded once.
 """
 
 from __future__ import annotations
@@ -16,13 +22,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 from .errors import OutOfRange, ParseError, PreconditionViolated
 from .haar import EigenAngles, MCConfig, run_mc
-from .moments import double_factorial, even_indicator, moment_usp
+from .moments import double_factorial, even_indicator, moment_usp_sum
 from .partitions import Partition
 
 
@@ -106,63 +111,61 @@ def linear_statistic(f: FourierTestFn, nu: int, e: EigenAngles) -> float:
     )
 
 
-def _multinomial(m: int, counts: list[int]) -> int:
-    result = 1
-    remaining = m
-    for c in counts:
-        result *= comb(remaining, c)
-        remaining -= c
-    return result
-
-
 def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
-    """E[W^m] via the trace-moment expansion; Fraction/int when f is rational.
+    """E[W^m] via the trace-moment expansion; Fraction/int when f is rational,
+    float otherwise (a float table is converted exactly and rounded once).
 
     Every multi-index within the Fourier support must induce a partition of
-    size <= 4n+1; otherwise OutOfRange reports the offending multi-index.
+    size <= 4n+1; otherwise OutOfRange reports the first offending
+    multi-index.
     """
-    signed_support = sorted(
-        {j for j, _ in f.coefficients} | {-j for j, _ in f.coefficients}
-    )
-    trace_indices = [nu + s for s in signed_support]
-    exact = f.is_exact()
-    terms = []
-    total = Fraction(0) if exact else 0.0
-    for multiset in itertools.combinations_with_replacement(trace_indices, m):
-        counts: dict[int, int] = {}
-        for idx in multiset:
-            counts[idx] = counts.get(idx, 0) + 1
-        fprod = 1
-        for idx, c in counts.items():
-            fprod *= f.value(idx - nu) ** c
-        if fprod == 0:
+    if m < 0:
+        raise PreconditionViolated(f"moment order m = {m} is negative")
+    # fold the trace indices nu + s (s = +-j) onto |nu + s|: F_0 = fhat(nu)
+    # and F_j = fhat(j - nu) + fhat(j + nu), since tr(U^-j) = tr(U^j)
+    folded: dict[int, Fraction] = {}
+    for j, v in f.coefficients:
+        for s in {j, -j}:
+            folded[abs(nu + s)] = folded.get(abs(nu + s), 0) + Fraction(v)
+    widest = max((abs(nu + s) for j, v in f.coefficients if v != 0 for s in (j, -j)), default=0)
+    if m * widest > 4 * n + 1:
+        _raise_out_of_range(n, nu, m, f)
+    scale = math.lcm(*(v.denominator for v in folded.values()))
+    blocks = [(j, int(v * scale), None) for j, v in sorted(folded.items()) if j and v]
+    zero_weight = 2 * n * int(folded.get(0, 0) * scale)
+    value = Fraction(moment_usp_sum(n, m, blocks, zero_weight), scale**m)
+    if not f.is_exact():
+        return float(value)
+    return int(value) if value.denominator == 1 else value
+
+
+def _raise_out_of_range(n: int, nu: int, m: int, f: FourierTestFn) -> None:
+    """Raise OutOfRange for the first multi-index, in enumeration order,
+    whose partition exceeds 4n+1."""
+    signed_support = sorted({j for j, _ in f.coefficients} | {-j for j, _ in f.coefficients})
+    for multiset in itertools.combinations_with_replacement([nu + s for s in signed_support], m):
+        if any(f.value(idx - nu) == 0 for idx in multiset):
             continue
-        zeros = counts.get(0, 0)
         parts: dict[int, int] = {}
-        for idx, c in counts.items():
-            if idx != 0:
-                parts[abs(idx)] = parts.get(abs(idx), 0) + c
+        for idx in multiset:
+            if idx:
+                parts[abs(idx)] = parts.get(abs(idx), 0) + 1
         a = Partition(parts)
         if a.size > 4 * n + 1:
             raise OutOfRange(
                 f"multi-index {multiset} needs partition {a} of size {a.size} > 4n+1 = {4 * n + 1}"
             )
-        coeff = _multinomial(m, list(counts.values()))
-        term = coeff * fprod * (2 * n) ** zeros * moment_usp(n, a)
-        if exact:
-            total += term
-        else:
-            terms.append(float(term))
-    if not exact:
-        return math.fsum(terms)
-    return int(total) if total.denominator == 1 else total
 
 
 def statistic_moment_gaussian(n: int, nu: int, m: int, f: FourierTestFn) -> float:
-    """Gaussian main term: eta_m (m-1)!! ||f||^m nu^(m/2)."""
+    """Gaussian main term: eta_m (m-1)!! ||f||^m |nu|^(m/2).
+
+    W's law is symmetric in nu (the angles come in pairs +-theta), so the
+    term depends on |nu| only, like the exact moment.
+    """
     if even_indicator(m) == 0:
         return 0.0
-    return double_factorial(m - 1) * float(f.norm_sq()) ** (m // 2) * float(nu) ** (m / 2)
+    return double_factorial(m - 1) * float(f.norm_sq()) ** (m // 2) * float(abs(nu)) ** (m / 2)
 
 
 def moment_main_term(n: int, nu: int, a: Partition) -> int:

@@ -8,6 +8,17 @@ The central object is ``moment_usp(n, a)``, the exact value of
 
 where ``g`` is the moment of the shifted-Gaussian model (``gaussian_moment``
 here) and ``phi`` is the finite-n correction (``nongaussian_correction``).
+
+Both are evaluated by one size-indexed dynamic programme,
+``moment_usp_sum``.  Writing c = a - b and expanding phi's inner sum over
+d <= c, ``C(a,b) C(c,d) = prod_j a_j!/(b_j! d_j! e_j!)`` with e = c - d, so
+every factor splits per part size except phi's weight, which depends only on
+(size c, size d): 1 for empty c, -1 for even size c with
+size d <= size c/2 - n - 1, else 0.  The programme runs over the part sizes
+with states (parts placed, size c, size d) and drops a state as soon as that
+weight can no longer be nonzero.  In the Gaussian range size(a) <= 2n+1 only
+the empty-c state survives, which is how the formula collapses to g(a).  The
+same programme sums the linear-statistic expansion of :mod:`symp.linstat`.
 Everything in this module is exact integer arithmetic; the only rounding
 anywhere lives in the numerical oracles of :mod:`symp.haar`.
 """
@@ -16,7 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .errors import OutOfRange
@@ -84,21 +96,107 @@ def nongaussian_correction(n: int, c: Partition) -> int:
     return -acc
 
 
+def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
+    """Sum over index sequences of length m of the weighted USp moments.
+
+    ``blocks`` lists ``(j, w, count)`` for distinct part sizes j >= 1; a
+    sequence places k_j of its m indices on j and the remaining k_0 on the
+    index 0, whose trace is the constant ``zero_weight``.  Either every
+    count is an int, and k_j == count, or every count is None, and k_j is
+    free.  Returns
+
+        sum_k m!/(k_0! prod_j k_j!) zero_weight^k_0 prod_j w^k_j moment_usp(n, k)
+
+    for exact integer weights.  Each k_j splits as b + d + e (b the Gaussian
+    part, c = d + e the correction part, d the inner sum of phi), and
+    ``C(k,b) C(k-b,d) g_j(b) (-1)^(k+d) w^k`` factors per j.  Only phi
+    couples the part sizes, through (size c, size d), so one pass over the
+    blocks with states (parts placed, size c, size d) sums every split.  A
+    state with c nonempty survives only while phi can still be nonzero at
+    the end: size d <= n-1 and size c can still reach 2n+2+2 size d.
+    """
+    # widest part first: what the remaining blocks can still add to size c
+    # then shrinks fastest, and so does the set of surviving states
+    blocks = sorted(blocks, key=lambda block: -block[0])
+    fixed = bool(blocks) and blocks[0][2] is not None
+    need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
+    states: dict[tuple[int, int, int], int] = {}
+    for k in range(m + 1):
+        if zero_weight**k:
+            states[(k, 0, 0)] = zero_weight**k
+    end = 0
+    for i, (j, w, count) in enumerate(blocks):
+        # reach[t]: the most size blocks i.. can still add once t parts are placed
+        if fixed:
+            end += count
+            later = sum(jj * kk for jj, _, kk in blocks[i + 1 :])
+            reach = [j * (end - t) + later for t in range(end + 1)]
+        else:
+            end = m
+            reach = [j * (m - t) for t in range(m + 1)]
+        g = _gaussian_row(j, count if fixed else m)
+        # b: Gaussian parts, weight C(t+b, b) g_j(b) (-w)^b; c stays as it is
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (t, sc, sd), v in states.items():
+            for b in range(end - t + 1):
+                u = t + b
+                if sc + reach[u] < need + 2 * sd:
+                    if sc:
+                        break
+                    if fixed and u < end:
+                        continue  # c is empty so far, but the rest of the block goes to c
+                if g[b]:
+                    key = (u, sc, sd)
+                    nxt[key] = nxt.get(key, 0) + v * comb(u, b) * g[b] * (-w) ** b
+        # d: parts of c inside phi's inner sum, weight C(t+d, d) w^d
+        states, nxt = nxt, dict(nxt)
+        for (t, sc, sd), v in states.items():
+            for d in range(1, end - t + 1):
+                u, uc, ud = t + d, sc + j * d, sd + j * d
+                if ud >= n or uc + reach[u] < need + 2 * ud:
+                    break
+                key = (u, uc, ud)
+                nxt[key] = nxt.get(key, 0) + v * comb(u, d) * w**d
+        # e: the rest of c, weight C(t+e, e) (-w)^e
+        states, nxt = nxt, {}
+        for (t, sc, sd), v in states.items():
+            for e in range(end - t if fixed else 0, end - t + 1):
+                u, uc = t + e, sc + j * e
+                if e and uc + reach[u] < need + 2 * sd:
+                    break
+                key = (u, uc, sd)
+                nxt[key] = nxt.get(key, 0) + v * comb(u, e) * (-w) ** e
+        states = nxt
+    total = 0
+    for (t, sc, sd), v in states.items():
+        if t != m:
+            continue
+        if sc == 0:
+            total += v
+        elif sc % 2 == 0 and sc >= need + 2 * sd:
+            total -= v
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _gaussian_row(j: int, top: int) -> tuple[int, ...]:
+    """gaussian_moment_single(j, k) for k = 0..top."""
+    return tuple(gaussian_moment_single(j, k) for k in range(top + 1))
+
+
 def moment_usp(n: int, a: Partition) -> int:
     """Exact Haar moment of prod_j tr(U^j)^{a_j} over USp(2n).
 
     Valid (and asserted) only for size(a) <= 4n+1; raises OutOfRange beyond,
-    where no formula is claimed.
+    where no formula is claimed.  The m!/prod_j a_j! index sequences that
+    realise a are summed by ``moment_usp_sum`` and divided out.
     """
     if a.size > 4 * n + 1:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
-    total = 0
-    for b in sub_partitions(a):
-        gb = gaussian_moment(b)
-        if gb == 0:
-            continue
-        total += a.binomial(b) * gb * nongaussian_correction(n, a - b)
-    return (-1) ** a.length * total
+    sequences = factorial(a.length)
+    for _, k in a.items:
+        sequences //= factorial(k)
+    return moment_usp_sum(n, a.length, [(j, 1, k) for j, k in a.items]) // sequences
 
 
 class FlaggedMoment(NamedTuple):
@@ -129,15 +227,8 @@ def moment_u_gaussian(n: int, a: Partition, b: Partition) -> FlaggedMoment:
         return FlaggedMoment(0, valid)
     value = 1
     for j, m in a.items:
-        value *= j**m * _factorial(m)
+        value *= j**m * factorial(m)
     return FlaggedMoment(value, valid)
-
-
-def _factorial(m: int) -> int:
-    result = 1
-    for i in range(2, m + 1):
-        result *= i
-    return result
 
 
 @dataclass(frozen=True)

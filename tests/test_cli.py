@@ -163,3 +163,23 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.delenv("SYMP_THREADS")
     code, out_plain, _ = run_cli(capsys, *args)
     assert out_env == out_plain  # threading never changes the bytes
+
+
+def test_moment_negative_n_exit(capsys):
+    code, _, err = run_cli(capsys, "moment", "--n", "-1", "--partition", "1^2")
+    assert code == EXIT_CONFIG
+    assert "--n" in err
+
+
+def test_linstat_negative_m_exit(capsys):
+    code, _, err = run_cli(capsys, "linstat", "--n", "3", "--nu", "3", "--m", "-1", "--f", "0:1")
+    assert code == EXIT_CONFIG
+    assert "--m" in err
+
+
+def test_linstat_negative_nu_main_term(capsys):
+    code, out, _ = run_cli(capsys, "linstat", "--n", "20", "--nu", "-3", "--m", "2", "--f", "0:1")
+    assert code == EXIT_OK
+    (row,) = parse_csv(out)
+    assert row["value"] == "3"
+    assert row["reference_value"] == "3.0"

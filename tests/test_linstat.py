@@ -97,6 +97,45 @@ def test_exact_moment_fold_case():
         assert statistic_moment_exact(n, nu, m, f) == brute_moment_exact(n, nu, m, f)
 
 
+@pytest.mark.parametrize("text", ["0:1", "0:1 1:1/2", "0:1 1:1/2 2:1/4"])
+def test_exact_moment_matches_brute_grid(text):
+    # nu in 0..2 lies inside the Fourier support (tr(U^0) and folded indices)
+    f = FourierTestFn.parse(text)
+    for n in range(1, 6):
+        for nu in (0, 1, 2, 3, 4, 5, -3):
+            for m in range(6):
+                if m * (abs(nu) + f.max_index) > 4 * n + 1:
+                    with pytest.raises(OutOfRange):
+                        statistic_moment_exact(n, nu, m, f)
+                else:
+                    assert statistic_moment_exact(n, nu, m, f) == brute_moment_exact(n, nu, m, f), (n, nu, m)
+
+
+def test_exact_moment_symmetric_in_nu():
+    for n, nu, m in [(3, 3, 2), (4, 2, 3), (20, 10, 4)]:
+        assert statistic_moment_exact(n, -nu, m, FH) == statistic_moment_exact(n, nu, m, FH)
+        assert statistic_moment_gaussian(n, -nu, m, FH) == statistic_moment_gaussian(n, nu, m, FH)
+    assert statistic_moment_gaussian(20, -3, 2, F0) == 3.0
+
+
+def test_exact_moment_large_order_frozen():
+    # recorded from the enumeration over all C(19, 12) multisets
+    f = FourierTestFn.parse("0:1 1:1/2 2:1/3 3:1/4")
+    expected = Fraction(1004667947925527751368110923095, 2229025112064)
+    assert statistic_moment_exact(400, 100, 12, f) == expected
+
+
+def test_exact_moment_rejects_negative_order():
+    with pytest.raises(PreconditionViolated):
+        statistic_moment_exact(3, 3, -1, FH)
+
+
+def test_exact_moment_orders_zero_and_empty_table():
+    assert statistic_moment_exact(3, 3, 0, FH) == 1
+    assert statistic_moment_exact(3, 3, 0, FourierTestFn.parse("")) == 1
+    assert statistic_moment_exact(3, 3, 2, FourierTestFn.parse("")) == 0
+
+
 def test_exact_moment_frozen_values():
     assert statistic_moment_exact(30, 30, 2, F0) == 31
     assert statistic_moment_exact(30, 30, 4, F0) == 2876
@@ -126,6 +165,12 @@ def test_out_of_range_reports_multi_index():
     with pytest.raises(OutOfRange) as err:
         statistic_moment_exact(1, 3, 2, F0)
     assert "(3, 3)" in str(err.value)
+    # the first offending multi-index in combinations_with_replacement order
+    with pytest.raises(OutOfRange) as err:
+        statistic_moment_exact(20, 10, 8, FH)
+    assert str(err.value) == (
+        "multi-index (9, 9, 9, 11, 11, 11, 11, 11) needs partition 9^3 11^5 of size 82 > 4n+1 = 81"
+    )
     # boundary: m * (nu + J) = 4n+1 exactly is fine
     assert statistic_moment_exact(30, 30, 4, FourierTestFn.parse("0:1")) == 2876
 

@@ -18,7 +18,7 @@ from symp.moments import (
     nongaussian_correction,
     pairing_weight_sum,
 )
-from symp.partitions import Partition, partitions_of_size_at_most
+from symp.partitions import Partition, partitions_of_size_at_most, sub_partitions
 
 small_parts = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3)
 
@@ -69,6 +69,28 @@ def test_nongaussian_correction_boundary(n, d):
     if c.size % 2 == 0 and 0 < c.size <= 2 * n + 2:
         expected = -1 if c.size == 2 * n + 2 else 0
         assert nongaussian_correction(n, c) == expected
+
+
+def moment_usp_by_definition(n, a):
+    """Oracle: the defining sum (-1)^len(a) sum_{b <= a} C(a,b) g(b) phi(n, a-b),
+    enumerated over every sub-partition."""
+    total = 0
+    for b in sub_partitions(a):
+        gb = gaussian_moment(b)
+        if gb:
+            total += a.binomial(b) * gb * nongaussian_correction(n, a - b)
+    return (-1) ** a.length * total
+
+
+def test_moment_usp_matches_definition():
+    for n in range(1, 6):
+        for a in partitions_of_size_at_most(4 * n + 1):
+            assert moment_usp(n, a) == moment_usp_by_definition(n, a), (n, a)
+
+
+def test_moment_usp_matches_definition_large():
+    a = Partition({1: 30, 2: 15, 3: 10})
+    assert moment_usp(30, a) == moment_usp_by_definition(30, a) == -944448840512881392775269194555
 
 
 def test_moment_usp_frozen_values():
