@@ -88,19 +88,32 @@ def _parse_partition(text: str, flag: str) -> Partition:
         raise ParseError(f"{flag}: {exc}") from exc
 
 
-def _check_orders(args) -> None:
-    """Reject a negative matrix size --n or moment order --m."""
+def _check_flags(args) -> None:
+    """Reject a negative matrix size --n or moment order --m, and a sample
+    or worker count below 1."""
     for flag in ("n", "m"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ParseError(f"--{flag}: must be non-negative, got {value}")
+    for flag in ("samples", "threads"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{flag}: must be at least 1, got {value}")
 
 
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("SYMP_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        raise ParseError(f"SYMP_THREADS: not an integer: {env!r}") from None
+    if threads < 1:
+        raise ParseError(f"SYMP_THREADS: must be at least 1, got {threads}")
+    return threads
 
 
 def _cmd_moment(args) -> list[dict]:
@@ -145,6 +158,12 @@ def _cmd_oracle(args) -> list[dict]:
         "reference_value": reference,
     }
     if args.method == "quadrature":
+        exact_nodes = haar.default_nodes(args.n, a, margin=0)
+        if args.nodes is not None and args.nodes < exact_nodes:
+            raise ParseError(
+                f"--nodes: {args.nodes} is below {exact_nodes}, the fewest nodes that"
+                f" integrate {a.format()} exactly at n = {args.n}"
+            )
         cfg = haar.QuadratureConfig(args.n, args.nodes or haar.default_nodes(args.n, a))
         value = haar.moment_quadrature(args.n, a, cfg)
         row = dict(base, check="quadrature-vs-exact", formula="quadrature", value=value)
@@ -220,7 +239,7 @@ def _cmd_linstat(args) -> list[dict]:
             abs_error=abs(float(exact) - prediction),
         )
     ]
-    if args.samples:
+    if args.samples is not None:
         cfg = haar.MCConfig(args.n, args.samples, args.seed)
         est, stderr = linstat.statistic_moment_mc(args.n, args.nu, args.m, f, cfg, threads=_threads(args))
         rows.append(
@@ -296,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_orders(args)
+        _check_flags(args)
         rows = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

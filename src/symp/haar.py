@@ -9,10 +9,14 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   integrand *exactly* once the per-variable degree bound is met.  The result
   is authoritative up to float roundoff, not an approximation.
 
-* ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar samples via quaternionic
-  Gram-Schmidt of a Gaussian quaternionic matrix.  Sampling is blocked with
-  per-block seeds derived from the root seed, so results are bit-for-bit
-  reproducible and independent of the worker count.
+* ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar eigenangles from the
+  Killip-Nenciu tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1
+  independent Beta draws and one real n x n eigvalsh per sample.  Sampling
+  is blocked with per-block seeds derived from the root seed, and every
+  sampler draws a block through the same helper, so results are bit-for-bit
+  reproducible and independent of the worker count.  Quaternionic
+  Gram-Schmidt (``_haar_matrix_batch``) builds actual group elements; the
+  tests check the angle sampler against it at small n.
 
 Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 [0, 1/2], throughout.
@@ -32,6 +36,8 @@ from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
 _MAX_GRID_POINTS = 4_000_000
+# cap on the dense Jacobi matrices of one eigvalsh call: one whole block up to n = 32
+_EIGH_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,9 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     T(c) = (-conj(w), conj(u)) for c = (u, w), and normalize by the (real,
     positive) norm -- so the factorization is the unique quaternionic QR and
     left invariance of the Gaussian law makes the result Haar.
+
+    Not used by the samplers below, which need only eigenangles; it is the
+    group-element reference the tests check them against.
     """
     two_n = 2 * n
     cols = np.empty((batch, two_n, two_n), dtype=np.complex128)
@@ -183,28 +192,74 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     return cols[:, :, order]
 
 
+def _jacobi_beta_params(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Beta parameters (s_k, t_k), k = 0..2n-2, of Killip-Nenciu's Theorem 2
+    for beta = 2 and a = b = 1/2: alpha_k has density proportional to
+    (1-x)^(s_k - 1) (1+x)^(t_k - 1) on [-1, 1]."""
+    k = np.arange(2 * n - 1)
+    even = k % 2 == 0
+    symmetric = (2 * n - k - 2) / 2 + 1.5
+    s = np.where(even, symmetric, (2 * n - k - 3) / 2 + 3.0)
+    t = np.where(even, symmetric, (2 * n - k - 1) / 2)
+    return s, t
+
+
 def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Eigenangles (in turns, ascending) of `batch` Haar USp(2n) samples.
 
-    The Hermitian part of a sample has spectrum {cos 2 pi theta_k}, each
-    value doubled (conjugate eigenvalue pairs), so the angles come from an
-    eigvalsh of half the cost of a full nonsymmetric decomposition.
+    Under x = 2 cos 2 pi theta the n fundamental angles of Haar USp(2n) form
+    the beta = 2 Jacobi ensemble on [-2, 2] with weight (1 - x^2/4)^(1/2).
+    Killip and Nenciu (Matrix models for circular ensembles, IMRN 2004,
+    Theorem 2) realise it as the spectrum of an n x n real tridiagonal
+    (Jacobi) matrix built by the Geronimus relations from 2n-1 independent
+    Beta variables alpha_k, with alpha_{-1} = alpha_{2n-1} = -1:
+
+        b_{k+1} = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
+        a_{k+1} = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1})).
+
+    All draws come first, so the stream does not depend on how the
+    eigensolves are chunked.
     """
-    q = _haar_matrix_batch(n, batch, rng)
-    h = 0.5 * (q + q.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(h)  # ascending; doubly degenerate cos values
-    cosines = eigs[:, ::2]
-    theta = np.arccos(np.clip(cosines, -1.0, 1.0)) / (2.0 * math.pi)
-    theta.sort(axis=1)
-    return theta
+    if n == 0:  # USp(0) is the trivial group: no angles
+        return np.empty((batch, 0))
+    s, t = _jacobi_beta_params(n)
+    alpha = np.full((batch, 2 * n + 1), -1.0)  # column i holds alpha_{i-1}
+    alpha[:, 1:-1] = 2.0 * rng.beta(t, s, size=(batch, 2 * n - 1)) - 1.0
+    even = alpha[:, 1::2]  # alpha_{2k}
+    odd_before = alpha[:, 0:-1:2]  # alpha_{2k-1}
+    odd_after = alpha[:, 2::2]  # alpha_{2k+1}
+    even_before = np.zeros_like(even)  # alpha_{2k-2}; its factor is 0 at k = 0
+    even_before[:, 1:] = even[:, :-1]
+    diag = (1.0 - odd_before) * even - (1.0 + odd_before) * even_before
+    off = np.sqrt((1.0 - odd_before) * (1.0 - even * even) * (1.0 + odd_after))[:, :-1]
+
+    x = np.empty((batch, n))
+    step = max(1, _EIGH_BYTES // (8 * n * n))
+    idx = np.arange(n)
+    for lo in range(0, batch, step):
+        hi = min(lo + step, batch)
+        jacobi = np.zeros((hi - lo, n, n))
+        jacobi[:, idx, idx] = diag[lo:hi]
+        jacobi[:, idx[:-1], idx[1:]] = off[lo:hi]
+        jacobi[:, idx[1:], idx[:-1]] = off[lo:hi]
+        x[lo:hi] = np.linalg.eigvalsh(jacobi)
+    # x ascending gives theta descending; reverse to ascending angles
+    return np.arccos(np.clip(0.5 * x[:, ::-1], -1.0, 1.0)) / (2.0 * math.pi)
 
 
 def _block_seed(cfg: MCConfig, block_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
 
 
-def _batch_size(n: int) -> int:
-    return 512 if n >= 16 else 8192
+def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
+    """(block index, sample count) of each seed block, in order."""
+    for index, start in enumerate(range(0, cfg.sample_count, MC_BLOCK_SIZE)):
+        yield index, min(MC_BLOCK_SIZE, cfg.sample_count - start)
+
+
+def _block_angles(n: int, cfg: MCConfig, block_index: int, count: int) -> np.ndarray:
+    """The eigenangles of one seed block: the single draw every sampler uses."""
+    return _haar_angles_batch(n, count, np.random.default_rng(_block_seed(cfg, block_index)))
 
 
 def trace_product_batch(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -217,27 +272,23 @@ def trace_product_batch(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -
 
 
 def _mc_block(args) -> tuple:
-    """Worker: sums of the statistic columns and their squares over one block."""
+    """Worker: sample count, column means and centred sums of squares (M2)
+    of the statistic columns over one block."""
     n, cfg, block_index, count, stat_fn, stat_args = args
-    rng = np.random.default_rng(_block_seed(cfg, block_index))
-    sums = None
-    sq_sums = None
-    step = _batch_size(n)
-    done = 0
-    while done < count:
-        take = min(step, count - done)
-        theta = _haar_angles_batch(n, take, rng)
-        values = stat_fn(theta, *stat_args)  # (take, n_stats)
-        if values.ndim == 1:
-            values = values[:, None]
-        # per-column reductions: bit-identical whether columns are computed
-        # together or in separate equal-seed runs
-        s = np.array([values[:, k].sum() for k in range(values.shape[1])])
-        s2 = np.array([(values[:, k] * values[:, k]).sum() for k in range(values.shape[1])])
-        sums = s if sums is None else sums + s
-        sq_sums = s2 if sq_sums is None else sq_sums + s2
-        done += take
-    return block_index, sums, sq_sums
+    values = stat_fn(_block_angles(n, cfg, block_index, count), *stat_args)  # (count, n_stats)
+    if values.ndim == 1:
+        values = values[:, None]
+    # per-column reductions: bit-identical whether columns are computed
+    # together or in separate equal-seed runs
+    means = []
+    m2s = []
+    for k in range(values.shape[1]):
+        column = values[:, k]
+        mean = column.sum() / count
+        centred = column - mean
+        means.append(float(mean))
+        m2s.append(float((centred * centred).sum()))
+    return block_index, count, means, m2s
 
 
 def _moment_stat(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -255,20 +306,14 @@ def run_mc(
     """Blocked, seed-deterministic Monte Carlo driver.
 
     ``stat_fn(theta, *stat_args)`` maps an angle batch to per-sample
-    statistic columns; returns (mean, stderr) per column.  The block
-    decomposition and the reduction order are fixed, so the output is
-    identical for every ``threads`` value.
+    statistic columns; returns (mean, stderr) per column.  Each block
+    reports (count, mean, M2) per column, and the blocks are merged in block
+    order by the pairwise update of Chan, Golub and LeVeque (1983), which
+    avoids the cancellation of sum(x^2) - N mean^2.  The block decomposition
+    and the merge order are fixed, so the output is identical for every
+    ``threads`` value.
     """
-    total = cfg.sample_count
-    blocks = []
-    idx = 0
-    start = 0
-    while start < total:
-        count = min(MC_BLOCK_SIZE, total - start)
-        blocks.append((n, cfg, idx, count, stat_fn, stat_args))
-        idx += 1
-        start += count
-
+    blocks = [(n, cfg, index, count, stat_fn, stat_args) for index, count in _blocks(cfg)]
     if threads > 1 and len(blocks) > 1:
         with get_context("fork").Pool(processes=threads) as pool:
             results = pool.map(_mc_block, blocks, chunksize=1)
@@ -276,16 +321,17 @@ def run_mc(
     else:
         results = [_mc_block(b) for b in blocks]
 
+    total = cfg.sample_count
     out = []
     for col in range(n_stats):
-        s = math.fsum(float(r[1][col]) for r in results)
-        s2 = math.fsum(float(r[2][col]) for r in results)
-        mean = s / total
-        if total > 1:
-            var = max(s2 - total * mean * mean, 0.0) / (total - 1)
-            stderr = math.sqrt(var / total)
-        else:
-            stderr = 0.0
+        seen, mean, m2 = 0, 0.0, 0.0
+        for _, count, means, m2s in results:
+            delta = means[col] - mean
+            merged = seen + count
+            mean += delta * count / merged
+            m2 += m2s[col] + delta * delta * seen * count / merged
+            seen = merged
+        stderr = math.sqrt(m2 / (total - 1) / total) if total > 1 else 0.0
         out.append((mean, stderr))
     return out
 
@@ -301,20 +347,9 @@ def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[fl
 def sample_haar_usp(cfg: MCConfig) -> Iterator[EigenAngles]:
     """Stream of cfg.sample_count i.i.d. Haar USp(2n) eigenangle sets.
 
-    Uses the same block/seed layout as run_mc, so a given (seed, n) always
-    yields the same stream.
+    Draws the same blocks as run_mc, so a given (seed, n) always yields the
+    same stream and moment_mc is its plain sample mean.
     """
-    remaining = cfg.sample_count
-    block_index = 0
-    while remaining > 0:
-        count = min(MC_BLOCK_SIZE, remaining)
-        rng = np.random.default_rng(_block_seed(cfg, block_index))
-        step = _batch_size(cfg.n)
-        done = 0
-        while done < count:
-            take = min(step, count - done)
-            for row in _haar_angles_batch(cfg.n, take, rng):
-                yield EigenAngles(tuple(float(t) for t in row))
-            done += take
-        remaining -= count
-        block_index += 1
+    for index, count in _blocks(cfg):
+        for row in _block_angles(cfg.n, cfg, index, count):
+            yield EigenAngles(tuple(float(t) for t in row))

@@ -106,10 +106,10 @@ class Partition:
             if not match:
                 raise ParseError(f"bad partition term {token!r}")
             j, m = int(match.group(1)), int(match.group(2))
-            if j <= last:
-                raise ParseError(f"part sizes must strictly increase, got {token!r}")
             if j < 1 or m < 1:
                 raise ParseError(f"zero part size or multiplicity in {token!r}")
+            if j <= last:
+                raise ParseError(f"part sizes must strictly increase, got {token!r}")
             parts[j] = m
             last = j
         return cls(parts)

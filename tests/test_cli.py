@@ -183,3 +183,58 @@ def test_linstat_negative_nu_main_term(capsys):
     (row,) = parse_csv(out)
     assert row["value"] == "3"
     assert row["reference_value"] == "3.0"
+
+
+def test_partition_zero_part_size_exit(capsys):
+    code, _, err = run_cli(capsys, "moment", "--n", "1", "--partition", "0^1")
+    assert code == EXIT_CONFIG
+    assert "--partition" in err and "zero part size" in err
+
+
+def test_oracle_zero_samples_exit(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "0")
+    assert code == EXIT_CONFIG
+    assert "--samples" in err
+
+
+def test_oracle_negative_samples_exit(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "-5")
+    assert code == EXIT_CONFIG
+    assert "--samples" in err
+
+
+def test_linstat_zero_samples_exit(capsys):
+    code, out, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--samples", "0")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--samples" in err
+
+
+def test_threads_zero_exit(capsys):
+    args = ["oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "100", "--threads", "0"]
+    code, _, err = run_cli(capsys, *args)
+    assert code == EXIT_CONFIG
+    assert "--threads" in err
+
+
+def test_threads_negative_exit(capsys):
+    code, _, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--threads", "-2")
+    assert code == EXIT_CONFIG
+    assert "--threads" in err
+
+
+def test_threads_env_zero_exit(capsys, monkeypatch):
+    for value in ("0", "-1", "two"):
+        monkeypatch.setenv("SYMP_THREADS", value)
+        code, _, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "100")
+        assert code == EXIT_CONFIG
+        assert "SYMP_THREADS" in err
+
+
+def test_oracle_nodes_below_exactness_exit(capsys):
+    # 1^4 at n = 1 needs 3 nodes; one node used to print 2e-64 against 2 as valid
+    code, out, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^4", "--nodes", "1")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--nodes" in err
+    code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^4", "--nodes", "3")
+    assert code == EXIT_OK
+    assert abs(float(parse_csv(out)[0]["value"]) - 2.0) <= 1e-9

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from symp.haar import (
     moment_mc,
     moment_quadrature,
     quadrature_nodes,
+    run_mc,
     sample_haar_usp,
     trace_power,
+    trace_product_batch,
     weyl_weight_usp,
 )
 from symp.moments import moment_usp
@@ -144,6 +147,11 @@ def test_moment_mc_empty():
     assert moment_mc(2, Partition(), MCConfig(2, 100, 0)) == (1.0, 0.0)
 
 
+def test_trivial_group_n0():
+    assert [e.theta for e in sample_haar_usp(MCConfig(0, 3, 1))] == [()] * 3
+    assert moment_mc(0, Partition({1: 1}), MCConfig(0, 10, 1)) == (0.0, 0.0)
+
+
 def test_moment_mc_determinism_and_thread_invariance():
     a = Partition({1: 2})
     cfg = MCConfig(2, 20_000, 99)
@@ -183,3 +191,134 @@ def test_stream_and_engine_share_samples():
     manual = [trace_power(e, 1) ** 2 for e in sample_haar_usp(cfg)]
     est, _ = moment_mc(2, a, cfg)
     assert est == pytest.approx(sum(manual) / len(manual), rel=1e-12)
+
+
+def _offset_stat(theta, offset):
+    return offset + theta.sum(axis=1)
+
+
+def test_run_mc_variance_survives_large_offset():
+    # ~1e8 + O(1) noise: sum(x^2) - N mean^2 loses every digit of the variance
+    cfg = MCConfig(2, 3 * 4096 + 5, 41)
+    [(mean, stderr)] = run_mc(2, cfg, _offset_stat, (1e8,), 1)
+    values = np.array([1e8 + sum(e.theta) for e in sample_haar_usp(cfg)])
+    assert mean == pytest.approx(values.mean(), rel=1e-12)
+    assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-6)
+
+
+def _gram_schmidt_angles(n, count, rng):
+    """Eigenangles of quaternionic Gram-Schmidt samples: the Hermitian part of
+    a USp(2n) matrix has spectrum {cos 2 pi theta_k}, each value doubled."""
+    from symp.haar import _haar_matrix_batch
+
+    q = _haar_matrix_batch(n, count, rng)
+    cosines = np.linalg.eigvalsh(0.5 * (q + q.conj().transpose(0, 2, 1)))[:, ::2]
+    return np.arccos(np.clip(cosines, -1.0, 1.0)) / (2.0 * math.pi)
+
+
+def test_tridiagonal_sampler_matches_gram_schmidt():
+    # the only sampler that builds group elements cross-checks the Jacobi model
+    samples = 40_000
+    for n in (1, 2, 3):
+        theta = _gram_schmidt_angles(n, samples, np.random.default_rng(100 + n))
+        for parts in ({1: 2}, {2: 1}, {1: 4}, {1: 2, 2: 1}, {3: 2}):
+            a = Partition(parts)
+            values = trace_product_batch(theta, a.items)
+            gs_mean, gs_se = values.mean(), values.std(ddof=1) / math.sqrt(samples)
+            est, se = moment_mc(n, a, MCConfig(n, samples, 200 + n))
+            assert abs(est - gs_mean) <= 5 * math.hypot(se, gs_se), (n, parts, est, gs_mean)
+
+
+def _cdf_on_grid(density, grid):
+    cumulative = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
+    return cumulative / cumulative[-1]
+
+
+def test_angle_cdf_matches_weyl_density():
+    # Kolmogorov-Smirnov distance of each ordered angle's empirical CDF from
+    # the CDF integrated (trapezoid rule) from weyl_weight_usp; 1.95/sqrt(N)
+    # is the 0.1 % critical value for N i.i.d. draws
+    samples = 20_000
+    bound = 1.95 / math.sqrt(samples)
+    grid = np.linspace(0.0, 0.5, 401)
+    one = np.array([weyl_weight_usp(EigenAngles((t,))) for t in grid])
+    ordered = np.zeros((grid.size, grid.size))  # density of (theta_1 < theta_2)
+    for i, t in enumerate(grid):
+        for k in range(i + 1, grid.size):
+            ordered[i, k] = weyl_weight_usp(EigenAngles((t, grid[k])))
+    marginals = {1: [one], 2: [np.trapezoid(ordered, grid, axis=1), np.trapezoid(ordered, grid, axis=0)]}
+    for n, densities in marginals.items():
+        theta = np.array([e.theta for e in sample_haar_usp(MCConfig(n, samples, 300 + n))])
+        for k, density in enumerate(densities):
+            drawn = np.sort(theta[:, k])
+            cdf = np.interp(drawn, grid, _cdf_on_grid(density, grid))
+            steps = np.arange(1, samples + 1) / samples
+            distance = max((steps - cdf).max(), (cdf - (steps - 1 / samples)).max())
+            assert distance <= bound, (n, k, distance)
+
+
+def _squared_moments_by_quadrature(n, parts, count):
+    """E[X^2] for X = prod_j tr(U^j)^{a_j}, every partition in `parts`, by the
+    tensor Gauss rule of ``moment_quadrature`` with `count` nodes per angle.
+    The integrand is symmetric and vanishes where two nodes coincide, so the
+    sum runs over strictly increasing node tuples."""
+    x, w = (v.astype(float) for v in quadrature_nodes(count))
+    angle = np.arccos(x)
+    tuples = np.array(list(itertools.combinations(range(count), n)))
+    weight = w[tuples].prod(axis=1)
+    for p, r in itertools.combinations(range(n), 2):
+        weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
+    weight /= weight.sum()
+    powers = _TracePowers(lambda j: (2 * np.cos(j * angle[tuples])).sum(axis=1))
+    out = []
+    for a in parts:
+        square = weight.copy()
+        for j, m in a.items:
+            square *= powers(j, 2 * m)
+        out.append(float(square.sum()))
+    return out
+
+
+class _TracePowers:
+    """tr(U^j)^m per sample, each power computed once."""
+
+    def __init__(self, trace):
+        self._trace = trace
+        self._cache = {}
+
+    def __call__(self, j, m):
+        if (j, m) not in self._cache:
+            self._cache[j, m] = self._trace(j) if m == 1 else self(j, 1) ** m
+        return self._cache[j, m]
+
+
+def _monomial_stat(theta, items_list):
+    powers = _TracePowers(lambda j: (2.0 * np.cos(2.0 * math.pi * j * theta)).sum(axis=1))
+    columns = np.empty((len(items_list), theta.shape[0]))
+    for c, items in enumerate(items_list):
+        column = columns[c]
+        column[:] = 1.0
+        for j, m in items:
+            column *= powers(j, m)
+    return columns.T
+
+
+@pytest.mark.slow
+def test_sampler_matches_every_moment_in_range():
+    # every partition of size <= 4n+1, n <= 5, on one 10^6-sample stream per n,
+    # within 5 exact standard errors sqrt((E[X^2] - E[X]^2)/N) of moment_usp.
+    # E[X^2] comes from Gauss quadrature: the sample standard error misses the
+    # rare large values of high powers (tr(U)^20 at n = 5 reads -11 sample
+    # standard errors off at 2*10^5 samples)
+    samples = 1_000_000
+    for n in range(1, 6):
+        parts = [a for a in partitions_of_size_at_most(4 * n + 1) if a]
+        squares = _squared_moments_by_quadrature(n, parts, 5 * n + 1)
+        cfg = MCConfig(n, samples, 400 + n)
+        for start in range(0, len(parts), 512):
+            group = parts[start : start + 512]
+            estimates = run_mc(n, cfg, _monomial_stat, (tuple(a.items for a in group),), len(group), threads=2)
+            for a, square, (est, _) in zip(group, squares[start : start + 512], estimates):
+                exact = moment_usp(n, a)
+                stderr = math.sqrt(max(square - exact * exact, 0.0) / samples)
+                assert abs(est - exact) <= 5 * stderr, (n, a.format(), est, exact, stderr)

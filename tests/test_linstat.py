@@ -222,3 +222,6 @@ def test_mc_determinism():
     r1 = statistic_moment_mc(2, 2, 2, FH, cfg, threads=1)
     r2 = statistic_moment_mc(2, 2, 2, FH, cfg, threads=2)
     assert r1 == r2
+    assert repr(statistic_moments_mc(2, 2, (2, 4), FH, cfg, threads=1)) == repr(
+        statistic_moments_mc(2, 2, (2, 4), FH, cfg, threads=2)
+    )

@@ -81,6 +81,12 @@ def test_parse_format_examples():
             Partition.parse(bad)
 
 
+def test_parse_reports_zero_part_size():
+    for text in ["0^1", "1^1 0^2"]:
+        with pytest.raises(ParseError, match="zero part size or multiplicity"):
+            Partition.parse(text)
+
+
 @given(parts_dicts)
 def test_parse_format_roundtrip(d):
     a = Partition(d)
