@@ -6,6 +6,9 @@ polynomial is ().  Hot loops operate on numpy matrices of monic-polynomial
 coefficient rows and per-prime quadratic-character lookup tables, so that a
 full sweep over all monic h of degree 2n+1 stays vectorized; reductions use
 exact integer accumulators and are therefore independent of scheduling.
+Prime tables, the squarefree family and the factorizations behind the
+L-polynomials are sieves over base-q codes sum_i c_i q^i of monic
+polynomials (a code is the row index in ``monic_coeff_matrix``).
 
 The main consumers:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import factorial, prod
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ from .errors import BudgetExceeded, NotSquarefree, ParseError
 from .partitions import Partition
 
 Poly = tuple[int, ...]
+Factorization = tuple[tuple[Poly, int], ...]
 
 DEFAULT_BUDGET = 10**8
 
@@ -63,7 +67,7 @@ class PrimeField:
         self._chi[0] = 0
         self._primes: dict[int, list[Poly]] = {}
         self._char_tables: dict[Poly, np.ndarray] = {}
-        self._factorizations: dict[int, list[tuple[Poly, tuple[tuple[Poly, int], ...]]]] = {}
+        self._factorizations: dict[int, list[Factorization]] = {}
 
     def chi(self, v: int) -> int:
         """Quadratic character of F_q (0 at 0)."""
@@ -180,7 +184,7 @@ def is_irreducible(field: PrimeField, f: Poly) -> bool:
     for step in range(1, d + 1):
         frob = poly_pow_mod(field, frob, q, f)
         powers[step] = frob
-    if poly_sub(field, powers[d], x):
+    if poly_sub(field, powers[d], poly_mod(field, x, f)):
         return False
     for p in range(2, d + 1):
         if d % p == 0 and _is_prime_int(p):
@@ -197,19 +201,27 @@ def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
 
 
 def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
-    """Monic irreducibles of the given degree (cached)."""
+    """Monic irreducibles of the given degree, in ``monic_polys`` order (cached).
+
+    A sieve over base-q codes: the codes of every product P * G with P prime
+    of degree e <= degree/2 and G monic are marked composite, and the codes
+    left unmarked are the primes.
+    """
     if degree not in field._primes:
         if field.q**degree > budget:
             raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
-        if degree == 1:
-            found = [(c, 1) for c in range(field.q)]
-        else:
-            found = [f for f in monic_polys(field, degree) if is_irreducible(field, f)]
+        found: list[Poly] = []
+        if degree >= 1:
+            composite = np.zeros(field.q**degree, dtype=bool)
+            for e in range(1, degree // 2 + 1):
+                factors = np.array(primes_of_degree(field, e), dtype=np.int64)
+                composite[_product_codes(field, factors, monic_coeff_matrix(field, degree - e))] = True
+            found = _monic_polys_where(field, degree, ~composite)
         field._primes[degree] = found
     return field._primes[degree]
 
 
-def factorize(field: PrimeField, f: Poly) -> tuple[tuple[Poly, int], ...]:
+def factorize(field: PrimeField, f: Poly) -> Factorization:
     """Factorization of a monic polynomial into (prime, exponent) pairs."""
     if not poly_is_monic(f):
         raise ValueError("factorize expects a monic polynomial")
@@ -271,10 +283,8 @@ def jacobi_symbol(field: PrimeField, h: Poly, f: Poly) -> int:
 
 
 def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
-    """All squarefree monic polynomials of the given degree."""
-    if field.q**degree > budget:
-        raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
-    return [f for f in monic_polys(field, degree) if is_squarefree(field, f)]
+    """All squarefree monic polynomials of the given degree, in ``monic_polys`` order."""
+    return _monic_polys_where(field, degree, _squarefree_codes(field, degree, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +292,67 @@ def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDG
 
 
 def monic_coeff_matrix(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """(q^degree, degree+1) int64 rows [c_0 .. c_{degree-1}, 1]."""
-    q = field.q
-    count = q**degree
+    """(q^degree, degree+1) int64 rows [c_0 .. c_{degree-1}, 1]; row index = base-q code."""
+    count = field.q**degree
     if count > budget:
         raise BudgetExceeded(f"q^{degree} = {count} exceeds budget {budget}")
-    rows = np.empty((count, degree + 1), dtype=np.int64)
-    idx = np.arange(count)
-    for i in range(degree):
-        rows[:, i] = (idx // q**i) % q
-    rows[:, degree] = 1
-    return rows
+    return _code_rows(field, np.arange(count), degree)
 
 
 def rows_to_polys(rows: np.ndarray) -> list[Poly]:
     return [poly_trim(tuple(int(v) for v in row)) for row in rows]
 
 
-def squarefree_mask(field: PrimeField, rows: np.ndarray) -> np.ndarray:
-    return np.array([is_squarefree(field, poly_trim(tuple(int(v) for v in r))) for r in rows])
+def _code_rows(field: PrimeField, codes: np.ndarray, degree: int) -> np.ndarray:
+    """Monic coefficient rows of the given base-q codes (c_0 is the lowest digit)."""
+    q = field.q
+    rows = np.empty((codes.shape[0], degree + 1), dtype=np.int64)
+    for i in range(degree):
+        rows[:, i] = (codes // q**i) % q
+    rows[:, degree] = 1
+    return rows
+
+
+def _product_codes(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Base-q codes of every product of a row of `a` with a row of `b`.
+
+    Both hold monic coefficient rows; the result is flat, `a`-major.  It is
+    a batched convolution mod q, one output coefficient at a time, so the
+    working set is two (len(a), len(b)) arrays.
+    """
+    q = field.q
+    da, db = a.shape[1] - 1, b.shape[1] - 1
+    codes = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+    for k in range(da + db):
+        coef = np.zeros_like(codes)
+        for s in range(max(0, k - db), min(da, k) + 1):
+            coef += np.outer(a[:, s], b[:, k - s])
+        codes += (coef % q) * q**k
+    return codes.ravel()
+
+
+def _monic_polys_where(field: PrimeField, degree: int, keep: np.ndarray) -> list[Poly]:
+    """The monic polynomials whose codes `keep` marks, in ``monic_polys`` order.
+
+    ``monic_polys`` varies c_{degree-1} fastest, the code varies c_0 fastest:
+    reversing the axes of the code grid maps one order onto the other.
+    """
+    q = field.q
+    order = np.arange(q**degree).reshape((q,) * degree).T.ravel()
+    return [tuple(r) for r in _code_rows(field, order[keep[order]], degree).tolist()]
+
+
+def _squarefree_codes(field: PrimeField, degree: int, budget: int) -> np.ndarray:
+    """Mask over the base-q codes of monic polynomials of the given degree,
+    True where squarefree: a sieve that marks P^2 * G for every prime P of
+    degree e <= degree/2 and every monic G of degree - 2e."""
+    if field.q**degree > budget:
+        raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
+    squarefree = np.ones(field.q**degree, dtype=bool)
+    for e in range(1, degree // 2 + 1):
+        squares = np.array([poly_mul(field, p, p) for p in primes_of_degree(field, e)], dtype=np.int64)
+        squarefree[_product_codes(field, squares, monic_coeff_matrix(field, degree - 2 * e))] = False
+    return squarefree
 
 
 def char_table(field: PrimeField, p: Poly) -> np.ndarray:
@@ -411,15 +463,30 @@ class LPolynomial:
         return 1.0 / np.roots(np.array(self.c[::-1], dtype=float))
 
 
-def _factorization_list(field: PrimeField, degree: int):
+def _factorizations(field: PrimeField, degree: int) -> list[Factorization]:
+    """``factorize(f)`` for every monic f of degree >= 1, indexed by base-q
+    code (cached).
+
+    A sieve: the code of P * G, with P prime of degree e <= degree/2 and G
+    monic, gets G's factorization (from the table of degree - e) with P
+    added; the codes no product reaches are the primes.
+    """
     if degree not in field._factorizations:
-        entries = []
-        if degree == 0:
-            entries.append(((1,), ()))
-        else:
-            for f in monic_polys(field, degree):
-                entries.append((f, factorize(field, f)))
-        field._factorizations[degree] = entries
+        table: list[Factorization | None] = [None] * field.q**degree
+        for e in range(1, degree // 2 + 1):
+            primes = primes_of_degree(field, e)
+            cofactors = _factorizations(field, degree - e)
+            codes = _product_codes(field, np.array(primes, dtype=np.int64), monic_coeff_matrix(field, degree - e))
+            for k, code in enumerate(codes.tolist()):
+                if table[code] is None:
+                    factors = dict(cofactors[k % len(cofactors)])
+                    p = primes[k // len(cofactors)]
+                    factors[p] = factors.get(p, 0) + 1
+                    table[code] = tuple(sorted(factors.items()))
+        unreached = [code for code, factors in enumerate(table) if factors is None]
+        for code, p in zip(unreached, _code_rows(field, np.array(unreached), degree).tolist()):
+            table[code] = ((tuple(p), 1),)
+        field._factorizations[degree] = table
     return field._factorizations[degree]
 
 
@@ -428,12 +495,15 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
     count = rows.shape[0]
     coeffs = np.zeros((count, 2 * n + 1), dtype=np.int64)
     coeffs[:, 0] = 1
+    symbols: dict[Poly, np.ndarray] = {}  # one vector per prime, shared by every F it divides
     for i in range(1, 2 * n + 1):
         acc = np.zeros(count, dtype=np.int64)
-        for _, factors in _factorization_list(field, i):
+        for factors in _factorizations(field, i):
             sym = np.ones(count, dtype=np.int64)
             for p, e in factors:
-                v = symbols_batch(field, rows, p).astype(np.int64)
+                if p not in symbols:
+                    symbols[p] = symbols_batch(field, rows, p)
+                v = symbols[p]
                 sym *= v if e % 2 else v * v
             acc += sym
         coeffs[:, i] = acc
@@ -475,7 +545,7 @@ def frobenius_power_sums(lpoly: LPolynomial, j_max: int) -> list[int]:
 def hyperelliptic_rows(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Coefficient rows of the family {h monic squarefree, deg h = 2n+1}."""
     rows = monic_coeff_matrix(field, 2 * n + 1, budget)
-    return rows[squarefree_mask(field, rows)]
+    return rows[_squarefree_codes(field, 2 * n + 1, budget)]
 
 
 def empirical_moment(
@@ -535,9 +605,6 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
         p_even = (sym != 0).sum(axis=1)
         per_degree.append((j, m, p_odd, p_even))
     total = 0
-    fact = [1]
-    for i in range(1, 9):
-        fact.append(fact[-1] * i)
     for row_idx in range(rows.shape[0]):
         term = 1
         for j, m, p_odd, p_even in per_degree:
@@ -546,7 +613,7 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
                 (scale**k) * (int(p_odd[row_idx]) if k % 2 else int(p_even[row_idx]))
                 for k in range(1, m + 1)
             ]
-            term *= fact[m] * _elementary_from_power_sums(power, m)
+            term *= factorial(m) * _elementary_from_power_sums(power, m)
             if term == 0:
                 break
         total += term
@@ -578,26 +645,28 @@ def square_contribution(field: PrimeField, b: Partition, budget: int = DEFAULT_B
             prime_ids[p] = len(prime_ids)
         return prime_ids[p]
 
-    slot_candidates = []
+    slot_weights = []
     for j, m in b.items:
-        cands = []
-        for p, e, lam in prime_power_terms(field, j, "prime_or_prime2"):
+        terms = prime_power_terms(field, j, "prime_or_prime2")
+        if len(terms) ** m > budget:
+            raise BudgetExceeded(f"{len(terms)}^{m} tuples at degree {j} exceed budget")
+        weights: dict[int, int] = {}  # parity bit -> summed Lambda of the candidates with it
+        for p, e, lam in terms:
             bit = (1 << pid(p)) if e % 2 else 0
-            cands.append((bit, lam))
-        if len(cands) ** m > budget:
-            raise BudgetExceeded(f"{len(cands)}^{m} tuples at degree {j} exceed budget")
-        for _ in range(m):
-            slot_candidates.append(cands)
+            weights[bit] = weights.get(bit, 0) + lam
+        slot_weights += [weights] * m
 
+    # the last slot must cancel the parity left over: its bit equals the state
+    last = slot_weights.pop() if slot_weights else {0: 1}
     states: dict[int, int] = {0: 1}
-    for cands in slot_candidates:
+    for weights in slot_weights:
         nxt: dict[int, int] = {}
         for state, weight in states.items():
-            for bit, lam in cands:
+            for bit, lam in weights.items():
                 key = state ^ bit
                 nxt[key] = nxt.get(key, 0) + weight * lam
         states = nxt
-    total = states.get(0, 0)
+    total = sum(weight * last.get(state, 0) for state, weight in states.items())
     return total / field.q ** (b.size / 2)
 
 

@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CostGuard
+from .errors import CostGuard, PreconditionViolated
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
@@ -120,10 +120,16 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n).
 
     Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
-    ``default_nodes`` bound.  Guarded to n <= 4 / moderate grids.
+    ``default_nodes`` bound; an explicit config below the margin-0 bound
+    raises PreconditionViolated.  Guarded to n <= 4 / moderate grids.
     """
     if cfg is None:
         cfg = QuadratureConfig(n, default_nodes(n, a))
+    elif cfg.nodes_per_dim < default_nodes(n, a, margin=0):
+        raise PreconditionViolated(
+            f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
+            f" the fewest that integrate {a.format()} exactly at n = {n}"
+        )
     count = cfg.nodes_per_dim
     if n > 4:
         raise CostGuard(f"quadrature limited to n <= 4, got n = {n}")

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 from symp.errors import BudgetExceeded, NotSquarefree, ParseError
 from symp.ffield import (
+    _factorizations,
     LPolynomial,
     PrimeField,
     char_sum_distinct_primes,
@@ -108,6 +113,30 @@ def test_primes_of_degree_counts(q, j, count):
         assert brute_irreducible(field, p)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_prime_sieve_matches_frobenius_test(q):
+    # same list in the same (monic_polys) order as filtering by is_irreducible
+    field = PrimeField(q)
+    for d in range(1, 5):
+        assert primes_of_degree(field, d) == [f for f in monic_polys(field, d) if is_irreducible(field, f)]
+
+
+def test_prime_sieve_gauss_count():
+    for q in (3, 5, 7, 11, 13):
+        field = PrimeField(q)
+        for d in range(1, 5):
+            assert len(primes_of_degree(field, d)) == mobius_prime_count(q, d), (q, d)
+    assert primes_of_degree(F3, 0) == []
+
+
+def test_factorization_table_matches_factorize():
+    for q in (3, 5):
+        field = PrimeField(q)
+        for d in range(1, 5):
+            polys = [tuple(row) for row in monic_coeff_matrix(field, d).tolist()]
+            assert _factorizations(field, d) == [factorize(field, f) for f in polys], (q, d)
+
+
 def test_is_irreducible_matches_brute():
     for f in monic_polys(F3, 3):
         assert is_irreducible(F3, f) == brute_irreducible(F3, f)
@@ -121,11 +150,30 @@ def test_squarefree_monics_counts():
         assert is_squarefree(F3, h)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_squarefree_sieve_matches_gcd_test(q):
+    field = PrimeField(q)
+    for d in range(6):
+        rows = monic_coeff_matrix(field, d)
+        mask = np.array([is_squarefree(field, tuple(row)) for row in rows.tolist()])
+        assert squarefree_monics(field, d) == [f for f in monic_polys(field, d) if is_squarefree(field, f)]
+        if d % 2:
+            assert np.array_equal(hyperelliptic_rows(field, d // 2), rows[mask])
+        assert mask.sum() == (q**d - q ** (d - 1) if d >= 2 else q**d)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         squarefree_monics(F5, 3, budget=10)
     with pytest.raises(BudgetExceeded):
         monic_coeff_matrix(F5, 5, budget=100)
+    # raised before anything of size q^degree is allocated: 5^40 would not fit
+    with pytest.raises(BudgetExceeded):
+        primes_of_degree(F5, 40)
+    with pytest.raises(BudgetExceeded):
+        squarefree_monics(F5, 40)
+    with pytest.raises(BudgetExceeded):
+        hyperelliptic_rows(F5, 20)
 
 
 def test_von_mangoldt():
@@ -244,6 +292,17 @@ def test_newton_power_sums_roundtrip():
     assert frobenius_power_sums(L, 3) == [5, 13, 35]
 
 
+def test_l_polynomials_batch_pinned():
+    # q = 5, n = 2: all 2500 L-polynomials, pinned by their column sums and a digest
+    field = PrimeField(5)
+    coeffs = l_polynomials_batch(field, 2, hyperelliptic_rows(field, 2))
+    assert coeffs.shape == (2500, 5)
+    assert coeffs.sum(axis=0).tolist() == [2500, 0, 10480, 0, 62500]
+    assert np.abs(coeffs).sum(axis=0).tolist() == [2500, 4120, 12500, 20600, 62500]
+    digest = hashlib.sha256(repr(coeffs.tolist()).encode()).hexdigest()
+    assert digest == "0c5883ce7d1680dcff2a7e74b7d69516d8fd7c4f3139207d4f1577befed92713"
+
+
 def test_explicit_formula_exact():
     for q in (3, 5):
         field = PrimeField(q)
@@ -310,6 +369,19 @@ def test_distinct_prime_sums_brute():
     assert char_sum_distinct_primes(F3, 1, a) == brute == 0
 
 
+@pytest.mark.parametrize("q,n,m", [(3, 1, 9), (11, 1, 9), (11, 1, 10)])
+def test_distinct_prime_sums_many_primes(q, n, m):
+    """Oracle: m! times the sum over m-subsets of the degree-1 primes (zero
+    when there are fewer than m primes)."""
+    field = PrimeField(q)
+    primes = primes_of_degree(field, 1)
+    brute = 0
+    for row in monic_coeff_matrix(field, 2 * n + 1).tolist():
+        s = [legendre_symbol(field, tuple(row), p) for p in primes]
+        brute += sum(math.prod(s[i] for i in c) for c in itertools.combinations(range(len(primes)), m))
+    assert char_sum_distinct_primes(field, n, Partition({1: m})) == math.factorial(m) * brute
+
+
 def test_distinct_prime_sums_ts_identity():
     # beyond the vanishing range the sums are nonzero; T = (prod j^{a_j}) S
     a = Partition({2: 2})
@@ -357,6 +429,9 @@ def test_square_contribution_values():
     assert square_contribution(F5, Partition({2: 1})) == 1.0
     assert square_contribution(F5, Partition({2: 2})) == pytest.approx(3 - 2 / 5)
     assert square_contribution(PrimeField(13), Partition({2: 2})) == pytest.approx(3 - 2 / 13)
+    # the exact integer behind the q = 29 value: 3 q^2 - 2 q
+    assert square_contribution(PrimeField(29), Partition({2: 2})) == 2465 / 29**2
+    assert square_contribution(F5, Partition()) == 1.0
 
 
 def test_square_contribution_brute():

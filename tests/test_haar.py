@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symp.errors import CostGuard
+from symp.errors import CostGuard, PreconditionViolated
 from symp.haar import (
     EigenAngles,
     MCConfig,
@@ -99,6 +99,16 @@ def test_quadrature_matches_exact_formula():
     for n in (1, 2):
         for a in partitions_of_size_at_most(4 * n + 1):
             assert moment_quadrature(n, a) == pytest.approx(moment_usp(n, a), abs=1e-8)
+
+
+def test_quadrature_rejects_too_few_nodes():
+    # one node integrates 1^4 at n = 1 to 2e-64 instead of 2
+    with pytest.raises(PreconditionViolated, match="below 3"):
+        moment_quadrature(1, Partition({1: 4}), QuadratureConfig(1, 1))
+    exact = default_nodes(2, Partition({2: 2}), margin=0)
+    assert moment_quadrature(2, Partition({2: 2}), QuadratureConfig(2, exact)) == pytest.approx(
+        moment_usp(2, Partition({2: 2})), abs=1e-9
+    )
 
 
 def test_cost_guard():
