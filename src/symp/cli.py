@@ -227,7 +227,11 @@ def _cmd_linstat(args) -> list[dict]:
     except ParseError as exc:
         raise ParseError(f"--f: {exc}") from exc
     exact = linstat.statistic_moment_exact(args.n, args.nu, args.m, f)
-    prediction = linstat.statistic_moment_gaussian(args.n, args.nu, args.m, f)
+    try:
+        prediction = linstat.statistic_moment_gaussian(args.n, args.nu, args.m, f)
+        exact_float = float(exact)
+    except OverflowError as exc:
+        raise ParseError(f"--f: the moment is too large for a float: {exc}") from exc
     base = {"group": "usp", "n": args.n, "m": args.m, "nu": args.nu, "partition": args.f}
     rows = [
         dict(
@@ -236,7 +240,7 @@ def _cmd_linstat(args) -> list[dict]:
             formula="exact",
             value=exact,
             reference_value=prediction,
-            abs_error=abs(float(exact) - prediction),
+            abs_error=abs(exact_float - prediction),
         )
     ]
     if args.samples is not None:
@@ -249,7 +253,7 @@ def _cmd_linstat(args) -> list[dict]:
                 formula="mc",
                 value=est,
                 reference_value=exact,
-                abs_error=abs(est - float(exact)),
+                abs_error=abs(est - exact_float),
                 stderr=stderr,
                 samples=args.samples,
                 seed=args.seed,

@@ -4,8 +4,10 @@ Everything runs over a prime field F_q (q an odd prime).  Polynomials are
 coefficient tuples, low degree first, trailing zeros stripped; the zero
 polynomial is ().  Hot loops operate on numpy matrices of monic-polynomial
 coefficient rows and per-prime quadratic-character lookup tables, so that a
-full sweep over all monic h of degree 2n+1 stays vectorized; reductions use
-exact integer accumulators and are therefore independent of scheduling.
+full sweep over all monic h of degree 2n+1 stays vectorized; reductions over
+the family multiply and sum whole columns of exact Python integers (numpy
+object arrays, no overflow guard), so they are exact at any size and
+independent of scheduling.
 Prime tables, the squarefree family and the factorizations behind the
 L-polynomials are sieves over base-q codes sum_i c_i q^i of monic
 polynomials (a code is the row index in ``monic_coeff_matrix``).
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -450,7 +452,7 @@ class LPolynomial:
     c: tuple[int, ...]
 
     def functional_equation_ok(self) -> bool:
-        """c_{2n-i} = q^{n-i} c_i for all i (may need exact rational checks)."""
+        """c_{2n-i} = q^{n-i} c_i for all i, checked in integers as q^i c_{2n-i} = q^n c_i."""
         for i in range(2 * self.n + 1):
             if self.c[2 * self.n - i] * self.q**i != self.q**self.n * self.c[i]:
                 return False
@@ -558,30 +560,16 @@ def empirical_moment(
     """Family average of prod_j tr(Theta_h^j)^{a_j}; -> moment_usp(n, a) as q grows.
 
     Per curve, q^{j/2} tr(Theta_h^j) = -sum_{deg Q = j} Lambda(Q) (h/Q); the
-    product over j is accumulated as an exact integer before the single final
-    division, so the average is independent of chunking.
+    products over j are exact Python integers, no overflow guard, summed
+    before the single final division, so the average is independent of
+    chunking.
     """
     rows = hyperelliptic_rows(field, n, budget)
-    count = rows.shape[0]
-    sums = {j: weighted_char_sums(field, rows, j, mode) for j in a.support}
-    # per-curve products stay exact: int64 while provably within range,
-    # python ints otherwise
-    bound = prod(max(1, int(np.abs(sums[j]).max())) ** m for j, m in a.items)
-    if bound < 2**62:
-        product = np.ones(count, dtype=np.int64)
-        for j, m in a.items:
-            product = product * sums[j] ** m
-        total = sum(int(v) for v in product)
-    else:
-        total = 0
-        lists = {j: t.tolist() for j, t in sums.items()}
-        for i in range(count):
-            term = 1
-            for j, m in a.items:
-                term *= lists[j][i] ** m
-            total += term
+    product = np.ones(rows.shape[0], dtype=object)
+    for j, m in a.items:
+        product = product * weighted_char_sums(field, rows, j, mode).astype(object) ** m
     sign = (-1) ** a.length
-    return sign * total / (count * field.q ** (a.size / 2))
+    return sign * int(product.sum()) / (rows.shape[0] * field.q ** (a.size / 2))
 
 
 def _elementary_from_power_sums(power: list[int], r: int) -> int:
@@ -596,28 +584,24 @@ def _elementary_from_power_sums(power: list[int], r: int) -> int:
 
 
 def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool, budget: int) -> int:
+    """Sum over monic h of prod_j a_j! e_{a_j}(x_P : deg P = j), with x_P =
+    (h/P), times j when weighted.  Newton's identities give e_m from the
+    power sums sum_P x_P^k: scale^k times p_odd = sum_P (h/P) for odd k and
+    p_even = #{P : h mod P != 0} for even k."""
     rows = monic_coeff_matrix(field, 2 * n + 1, budget)
-    per_degree = []
+    terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
-        primes = primes_of_degree(field, j, budget)
-        sym = np.stack([symbols_batch(field, rows, p) for p in primes], axis=1).astype(np.int64)
-        p_odd = sym.sum(axis=1)
-        p_even = (sym != 0).sum(axis=1)
-        per_degree.append((j, m, p_odd, p_even))
-    total = 0
-    for row_idx in range(rows.shape[0]):
-        term = 1
-        for j, m, p_odd, p_even in per_degree:
-            scale = j if weighted else 1
-            power = [
-                (scale**k) * (int(p_odd[row_idx]) if k % 2 else int(p_even[row_idx]))
-                for k in range(1, m + 1)
-            ]
-            term *= factorial(m) * _elementary_from_power_sums(power, m)
-            if term == 0:
-                break
-        total += term
-    return total
+        p_odd = np.zeros(rows.shape[0], dtype=np.int64)
+        p_even = np.zeros(rows.shape[0], dtype=np.int64)
+        for p in primes_of_degree(field, j, budget):
+            sym = symbols_batch(field, rows, p)
+            p_odd += sym
+            p_even += sym != 0
+        scale = j if weighted else 1
+        odd, even = p_odd.astype(object), p_even.astype(object)
+        power = [scale**k * (odd if k % 2 else even) for k in range(1, m + 1)]
+        terms = terms * (factorial(m) * _elementary_from_power_sums(power, m))
+    return int(terms.sum())
 
 
 def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition, budget: int = DEFAULT_BUDGET) -> int:

@@ -120,11 +120,14 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n).
 
     Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
-    ``default_nodes`` bound; an explicit config below the margin-0 bound
-    raises PreconditionViolated.  Guarded to n <= 4 / moderate grids.
+    ``default_nodes`` bound; an explicit config for another n, or below the
+    margin-0 bound, raises PreconditionViolated.  Guarded to n <= 4 /
+    moderate grids.
     """
     if cfg is None:
         cfg = QuadratureConfig(n, default_nodes(n, a))
+    elif cfg.n != n:
+        raise PreconditionViolated(f"QuadratureConfig is for n = {cfg.n}, not n = {n}")
     elif cfg.nodes_per_dim < default_nodes(n, a, margin=0):
         raise PreconditionViolated(
             f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
@@ -253,10 +256,6 @@ def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     return np.arccos(np.clip(0.5 * x[:, ::-1], -1.0, 1.0)) / (2.0 * math.pi)
 
 
-def _block_seed(cfg: MCConfig, block_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
-
-
 def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
     """(block index, sample count) of each seed block, in order."""
     for index, start in enumerate(range(0, cfg.sample_count, MC_BLOCK_SIZE)):
@@ -265,7 +264,8 @@ def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
 
 def _block_angles(n: int, cfg: MCConfig, block_index: int, count: int) -> np.ndarray:
     """The eigenangles of one seed block: the single draw every sampler uses."""
-    return _haar_angles_batch(n, count, np.random.default_rng(_block_seed(cfg, block_index)))
+    seed = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
+    return _haar_angles_batch(n, count, np.random.default_rng(seed))
 
 
 def trace_product_batch(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -297,10 +297,6 @@ def _mc_block(args) -> tuple:
     return block_index, count, means, m2s
 
 
-def _moment_stat(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -> np.ndarray:
-    return trace_product_batch(theta, items)
-
-
 def run_mc(
     n: int,
     cfg: MCConfig,
@@ -317,8 +313,10 @@ def run_mc(
     order by the pairwise update of Chan, Golub and LeVeque (1983), which
     avoids the cancellation of sum(x^2) - N mean^2.  The block decomposition
     and the merge order are fixed, so the output is identical for every
-    ``threads`` value.
+    ``threads`` value.  ``cfg.n`` must equal ``n``.
     """
+    if cfg.n != n:
+        raise PreconditionViolated(f"MCConfig is for n = {cfg.n}, not n = {n}")
     blocks = [(n, cfg, index, count, stat_fn, stat_args) for index, count in _blocks(cfg)]
     if threads > 1 and len(blocks) > 1:
         with get_context("fork").Pool(processes=threads) as pool:
@@ -346,7 +344,7 @@ def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[fl
     """Sample mean and standard error of prod_j tr(U^j)^{a_j} over Haar USp(2n)."""
     if not a:
         return (1.0, 0.0)
-    [(mean, stderr)] = run_mc(n, cfg, _moment_stat, (a.items,), 1, threads)
+    [(mean, stderr)] = run_mc(n, cfg, trace_product_batch, (a.items,), 1, threads)
     return mean, stderr
 
 

@@ -62,6 +62,8 @@ class FourierTestFn:
                 value = Fraction(value_text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad Fourier term {token!r}") from exc
+            if j < 0:
+                raise ParseError(f"negative Fourier index in {token!r}; supply only j >= 0, evenness fills in the rest")
             if j in table:
                 raise ParseError(f"repeated Fourier index in {token!r}")
             table[j] = value

@@ -238,3 +238,20 @@ def test_oracle_nodes_below_exactness_exit(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^4", "--nodes", "3")
     assert code == EXIT_OK
     assert abs(float(parse_csv(out)[0]["value"]) - 2.0) <= 1e-9
+
+
+def test_linstat_negative_fourier_index_exit(capsys):
+    code, out, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "1", "--m", "2", "--f=-1:1")
+    assert code == EXIT_CONFIG
+    assert "--f" in err and "-1:1" in err
+    assert out == ""
+
+
+def test_linstat_float_overflow_exit(capsys):
+    # the exact moment is fine; its float and the Gaussian term overflow
+    args = ("linstat", "--n", "10", "--nu", "5", "--m", "2", "--f=0:1e200")
+    for extra in ((), ("--samples", "10")):
+        code, out, err = run_cli(capsys, *args, *extra)
+        assert code == EXIT_CONFIG
+        assert "--f" in err
+        assert out == ""

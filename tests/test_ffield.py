@@ -331,6 +331,15 @@ def test_empirical_moment_converges():
     assert errs[-1] < 0.02
 
 
+def test_empirical_moment_exact_beyond_int64():
+    # at 1^40 the per-curve products overflow int64; oracle in Python ints
+    field, a = PrimeField(3), Partition({1: 40})
+    rows = hyperelliptic_rows(field, 1)
+    sums = weighted_char_sums(field, rows, 1, "all_prime_powers").tolist()
+    expected = sum(s**40 for s in sums) / (len(sums) * 3 ** (a.size / 2))
+    assert empirical_moment(field, 1, a) == expected == 387420594.1122851
+
+
 def test_empirical_moment_modes():
     # parts of size <= 2: candidate prime powers coincide, so modes agree exactly
     a = Partition({2: 1})
@@ -355,18 +364,28 @@ def test_distinct_prime_sums_zero_range():
     assert char_sum_distinct_primes_weighted(F3, 1, Partition()) == 27
 
 
+def brute_distinct_prime_sum(field, n, a, weighted=False):
+    """Oracle: direct loop over h and ordered tuples of distinct primes per
+    degree j, each symbol (h/P) weighted by j when `weighted`."""
+    primes = {j: primes_of_degree(field, j) for j in a.support}
+    total = 0
+    for row in monic_coeff_matrix(field, 2 * n + 1).tolist():
+        term = 1
+        for j, m in a.items:
+            s = [legendre_symbol(field, tuple(row), p) * (j if weighted else 1) for p in primes[j]]
+            term *= sum(math.prod(t) for t in itertools.permutations(s, m))
+        total += term
+    return total
+
+
 def test_distinct_prime_sums_brute():
-    """Oracle: direct loop over ordered distinct prime tuples."""
-    primes1 = primes_of_degree(F3, 1)
     a = Partition({1: 2})
-    brute = 0
-    for row in monic_coeff_matrix(F3, 3):
-        h = tuple(int(v) for v in row)
-        for i, p in enumerate(primes1):
-            for k, pp in enumerate(primes1):
-                if i != k:
-                    brute += legendre_symbol(F3, h, p) * legendre_symbol(F3, h, pp)
-    assert char_sum_distinct_primes(F3, 1, a) == brute == 0
+    assert char_sum_distinct_primes(F3, 1, a) == brute_distinct_prime_sum(F3, 1, a) == 0
+    # two degrees: the per-degree columns multiply row by row
+    a = Partition({1: 2, 2: 1})
+    assert char_sum_distinct_primes(F5, 1, a) == brute_distinct_prime_sum(F5, 1, a) == -1000
+    assert char_sum_distinct_primes_weighted(F5, 1, a) == brute_distinct_prime_sum(F5, 1, a, weighted=True) == -2000
+    assert char_sum_distinct_primes(F3, 1, a) == brute_distinct_prime_sum(F3, 1, a) == -54
 
 
 @pytest.mark.parametrize("q,n,m", [(3, 1, 9), (11, 1, 9), (11, 1, 10)])

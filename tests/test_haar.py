@@ -111,6 +111,18 @@ def test_quadrature_rejects_too_few_nodes():
     )
 
 
+def test_config_for_another_n_is_rejected():
+    # cfg.n and the n argument name the same group; a mismatch sampled
+    # USp(2 cfg.n), or ignored cfg.n, without a word
+    a = Partition({1: 2})
+    with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
+        moment_mc(1, a, MCConfig(3, 1000, 0))
+    with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
+        run_mc(1, MCConfig(3, 1000, 0), _offset_stat, (0.0,), 1)
+    with pytest.raises(PreconditionViolated, match="n = 4, not n = 1"):
+        moment_quadrature(1, a, QuadratureConfig(4, 5))
+
+
 def test_cost_guard():
     with pytest.raises(CostGuard):
         moment_quadrature(5, Partition({1: 2}))
