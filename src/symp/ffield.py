@@ -10,7 +10,12 @@ object arrays, no overflow guard), so they are exact at any size and
 independent of scheduling.
 Prime tables, the squarefree family and the factorizations behind the
 L-polynomials are sieves over base-q codes sum_i c_i q^i of monic
-polynomials (a code is the row index in ``monic_coeff_matrix``).
+polynomials (a code is the row index in ``monic_coeff_matrix``).  Every
+prime symbol (h/P) comes by one route: coefficient rows times the matrix
+of x^t mod P give residue codes, which index P's character table (itself
+built by reducing the squares of all residues through the same map); the
+family sums read two per-degree columns, sum_P (h/P) and #{P : P does not
+divide h}, from one loop over the primes of that degree.
 
 The main consumers:
 
@@ -33,7 +38,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotSquarefree, ParseError
+from .errors import BudgetExceeded, NotSquarefree
 from .partitions import Partition
 
 Poly = tuple[int, ...]
@@ -69,6 +74,7 @@ class PrimeField:
         self._chi[0] = 0
         self._primes: dict[int, list[Poly]] = {}
         self._char_tables: dict[Poly, np.ndarray] = {}
+        self._residue_squares: dict[int, np.ndarray] = {}
         self._factorizations: dict[int, list[Factorization]] = {}
 
     def chi(self, v: int) -> int:
@@ -352,9 +358,18 @@ def _squarefree_codes(field: PrimeField, degree: int, budget: int) -> np.ndarray
         raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
     squarefree = np.ones(field.q**degree, dtype=bool)
     for e in range(1, degree // 2 + 1):
-        squares = np.array([poly_mul(field, p, p) for p in primes_of_degree(field, e)], dtype=np.int64)
+        squares = _square_rows(field, np.array(primes_of_degree(field, e), dtype=np.int64))
         squarefree[_product_codes(field, squares, monic_coeff_matrix(field, degree - 2 * e))] = False
     return squarefree
+
+
+def _square_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the square of every row: a row self-convolution mod q."""
+    k = rows.shape[1]
+    out = np.zeros((rows.shape[0], 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        out[:, i : i + k] += rows[:, i, None] * rows
+    return out % field.q
 
 
 def char_table(field: PrimeField, p: Poly) -> np.ndarray:
@@ -365,77 +380,83 @@ def char_table(field: PrimeField, p: Poly) -> np.ndarray:
     """
     if p in field._char_tables:
         return field._char_tables[p]
-    q = field.q
-    d = poly_degree(p)
+    q, d = field.q, len(p) - 1
     if d == 1:
         table = field._chi.copy()
     else:
-        count = q**d
-        digits = np.empty((count, d), dtype=np.int64)
-        idx = np.arange(count)
-        for i in range(d):
-            digits[:, i] = (idx // q**i) % q
-        conv = np.zeros((count, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            for k in range(d):
-                conv[:, i + k] += digits[:, i] * digits[:, k]
-        conv %= q
-        res = conv[:, :d].copy()
-        xpow: Poly = poly_mod(field, (0,) * d + (1,), p)
-        for t in range(d, 2 * d - 1):
-            vec = np.array([xpow[i] if i < len(xpow) else 0 for i in range(d)], dtype=np.int64)
-            res = (res + conv[:, t, None] * vec[None, :]) % q
-            xpow = poly_mod(field, poly_mul(field, xpow, (0, 1)), p)
-        codes = res @ (q ** np.arange(d, dtype=np.int64))
-        table = np.full(count, -1, dtype=np.int8)
-        table[codes] = 1
+        # every prime of degree d reduces the same squares of all residues (cached;
+        # no budget check, the primes of degree d passed it)
+        if d not in field._residue_squares:
+            residues = _code_rows(field, np.arange(q**d), d)[:, :d]
+            field._residue_squares[d] = _square_rows(field, residues)
+        table = np.full(q**d, -1, dtype=np.int8)
+        table[_residue_codes(field, field._residue_squares[d], p)] = 1
         table[0] = 0
     field._char_tables[p] = table
     return table
 
 
 def _reduction_matrix(field: PrimeField, p: Poly, deg_in: int) -> np.ndarray:
-    """Rows x^t mod p for t = 0..deg_in, as a (deg_in+1, deg p) matrix."""
-    d = poly_degree(p)
+    """Rows x^t mod p for t = 0..deg_in, as a (deg_in+1, deg p) matrix.
+
+    The monic recurrence: x^(t+1) mod p is x^t mod p shifted up one place,
+    minus its top coefficient times p's low coefficients.
+    """
+    d = len(p) - 1
+    low = np.array(p[:d], dtype=np.int64)
     mat = np.zeros((deg_in + 1, d), dtype=np.int64)
-    cur: Poly = (1,)
-    for t in range(deg_in + 1):
-        for i, c in enumerate(cur):
-            mat[t, i] = c
-        cur = poly_mod(field, poly_mul(field, cur, (0, 1)), p)
+    mat[0, 0] = 1
+    for t in range(1, deg_in + 1):
+        mat[t, 1:] = mat[t - 1, :-1]
+        mat[t] = (mat[t] - mat[t - 1, -1] * low) % field.q
     return mat
+
+
+def _residue_codes(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
+    """Base-q codes of every coefficient row reduced mod the monic p."""
+    q = field.q
+    residues = (rows @ _reduction_matrix(field, p, rows.shape[1] - 1)) % q
+    return residues @ (q ** np.arange(len(p) - 1, dtype=np.int64))
 
 
 def symbols_batch(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
     """(h/p) for every coefficient row h, via residue codes and the char table."""
-    q = field.q
-    d = poly_degree(p)
-    red = _reduction_matrix(field, p, rows.shape[1] - 1)
-    residues = (rows @ red) % q
-    codes = residues @ (q ** np.arange(d, dtype=np.int64))
-    return char_table(field, p)[codes]
+    return char_table(field, p)[_residue_codes(field, rows, p)]
+
+
+def _power_degrees(j: int, mode: Mode) -> list[tuple[int, int]]:
+    """(e, deg P) for every prime power P^e of degree j kept by `mode`."""
+    return [(e, j // e) for e in range(1, j + 1) if j % e == 0 and (mode == "all_prime_powers" or e <= 2)]
 
 
 def prime_power_terms(field: PrimeField, j: int, mode: Mode) -> list[tuple[Poly, int, int]]:
     """(P, e, Lambda) for every prime power Q = P^e of degree j kept by `mode`."""
-    terms = []
-    for e in range(1, j + 1):
-        if j % e:
-            continue
-        if mode == "prime_or_prime2" and e > 2:
-            continue
-        d = j // e
-        for p in primes_of_degree(field, d):
-            terms.append((p, e, d))
-    return terms
+    return [(p, e, d) for e, d in _power_degrees(j, mode) for p in primes_of_degree(field, d)]
 
 
-def weighted_char_sums(field: PrimeField, rows: np.ndarray, j: int, mode: Mode) -> np.ndarray:
-    """sum_{deg Q = j} Lambda(Q) (h/Q) for every row h, as exact int64."""
+def _prime_sums(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -> np.ndarray:
+    """Two int64 columns over the primes P of the given degree, for every row
+    h: sum_P (h/P), and #{P : P does not divide h}, which is sum_P (h/P)^2."""
+    sums = np.zeros((2, rows.shape[0]), dtype=np.int64)
+    for p in primes_of_degree(field, degree, budget):
+        sym = symbols_batch(field, rows, p)
+        sums[0] += sym
+        sums[1] += sym != 0
+    return sums
+
+
+def weighted_char_sums(
+    field: PrimeField, rows: np.ndarray, j: int, mode: Mode, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """sum_{deg Q = j} Lambda(Q) (h/Q) for every row h, as exact int64.
+
+    Q = P^e has Lambda(Q) = deg P, and (h/P^e) is (h/P) for odd e and
+    [P does not divide h] for even e.
+    """
     acc = np.zeros(rows.shape[0], dtype=np.int64)
-    for p, e, lam in prime_power_terms(field, j, mode):
-        sym = symbols_batch(field, rows, p).astype(np.int64)
-        acc += lam * (sym if e % 2 else sym * sym)
+    for e, d in _power_degrees(j, mode):
+        odd, even = _prime_sums(field, rows, d, budget)
+        acc += d * (odd if e % 2 else even)
     return acc
 
 
@@ -567,7 +588,7 @@ def empirical_moment(
     rows = hyperelliptic_rows(field, n, budget)
     product = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
-        product = product * weighted_char_sums(field, rows, j, mode).astype(object) ** m
+        product = product * weighted_char_sums(field, rows, j, mode, budget).astype(object) ** m
     sign = (-1) ** a.length
     return sign * int(product.sum()) / (rows.shape[0] * field.q ** (a.size / 2))
 
@@ -586,19 +607,13 @@ def _elementary_from_power_sums(power: list[int], r: int) -> int:
 def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool, budget: int) -> int:
     """Sum over monic h of prod_j a_j! e_{a_j}(x_P : deg P = j), with x_P =
     (h/P), times j when weighted.  Newton's identities give e_m from the
-    power sums sum_P x_P^k: scale^k times p_odd = sum_P (h/P) for odd k and
-    p_even = #{P : h mod P != 0} for even k."""
+    power sums sum_P x_P^k: scale^k times the ``_prime_sums`` column
+    sum_P (h/P) for odd k and #{P : P does not divide h} for even k."""
     rows = monic_coeff_matrix(field, 2 * n + 1, budget)
     terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
-        p_odd = np.zeros(rows.shape[0], dtype=np.int64)
-        p_even = np.zeros(rows.shape[0], dtype=np.int64)
-        for p in primes_of_degree(field, j, budget):
-            sym = symbols_batch(field, rows, p)
-            p_odd += sym
-            p_even += sym != 0
+        odd, even = _prime_sums(field, rows, j, budget).astype(object)
         scale = j if weighted else 1
-        odd, even = p_odd.astype(object), p_even.astype(object)
         power = [scale**k * (odd if k % 2 else even) for k in range(1, m + 1)]
         terms = terms * (factorial(m) * _elementary_from_power_sums(power, m))
     return int(terms.sum())
@@ -652,23 +667,3 @@ def square_contribution(field: PrimeField, b: Partition, budget: int = DEFAULT_B
         states = nxt
     total = sum(weight * last.get(state, 0) for state, weight in states.items())
     return total / field.q ** (b.size / 2)
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def parse_poly_spec(text: str) -> tuple[PrimeField, Poly]:
-    """Parse 'q=3; h=0,-1,0,1' (coefficients low to high) into (field, poly)."""
-    try:
-        q_part, h_part = (chunk.strip() for chunk in text.split(";"))
-        q = int(q_part.split("=")[1])
-        coeffs = [int(v) for v in h_part.split("=")[1].split(",")]
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad polynomial spec {text!r}") from exc
-    field = PrimeField(q)
-    return field, poly_trim([c % q for c in coeffs])
-
-
-def format_poly(field: PrimeField, f: Poly) -> str:
-    return ",".join(str(c) for c in f) if f else "0"

@@ -115,6 +115,15 @@ def test_ffcheck_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_ffcheck_budget_covers_prime_tables(capsys):
+    # 125 curves fit in the budget, but the degree-5 primes need 5^5 codes
+    code, _, err = run_cli(
+        capsys, "ffcheck", "--n", "1", "--partition", "5^1", "--q", "5", "--budget", "1000"
+    )
+    assert code == EXIT_BUDGET
+    assert "q^5 = 3125 exceeds budget 1000" in err
+
+
 def test_linstat_example(capsys):
     code, out, _ = run_cli(capsys, "linstat", "--n", "30", "--nu", "30", "--m", "2", "--f", "0:1")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symp.errors import BudgetExceeded, NotSquarefree, ParseError
+from symp.errors import BudgetExceeded, NotSquarefree
 from symp.ffield import (
     _factorizations,
     LPolynomial,
@@ -17,7 +17,6 @@ from symp.ffield import (
     char_table,
     empirical_moment,
     factorize,
-    format_poly,
     frobenius_power_sums,
     hyperelliptic_rows,
     is_irreducible,
@@ -28,7 +27,6 @@ from symp.ffield import (
     legendre_symbol,
     monic_coeff_matrix,
     monic_polys,
-    parse_poly_spec,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -303,6 +301,36 @@ def test_l_polynomials_batch_pinned():
     assert digest == "0c5883ce7d1680dcff2a7e74b7d69516d8fd7c4f3139207d4f1577befed92713"
 
 
+def test_l_polynomials_batch_matches_definition():
+    # c_i = sum over monic F of degree i of the Jacobi symbol (h/F), on every curve
+    for q, n_max in ((3, 2), (5, 1)):
+        field = PrimeField(q)
+        for n in range(1, n_max + 1):
+            rows = hyperelliptic_rows(field, n)
+            coeffs = l_polynomials_batch(field, n, rows)
+            for h, c in zip(rows_to_polys(rows), coeffs.tolist()):
+                want = [1] + [
+                    sum(jacobi_symbol(field, h, f) for f in monic_polys(field, i)) for i in range(1, 2 * n + 1)
+                ]
+                assert c == want, (q, h)
+
+
+@pytest.mark.parametrize("q,j_max", [(3, 4), (5, 3)])
+def test_weighted_char_sums_match_definition(q, j_max):
+    # sum over monic Q of degree j of Lambda(Q) (h/Q), every monic h of degree 3;
+    # prime_or_prime2 keeps the Q = P^e with e <= 2
+    field = PrimeField(q)
+    rows = monic_coeff_matrix(field, 3)
+    hs = rows_to_polys(rows)
+    for j in range(1, j_max + 1):
+        powers = [(Q, von_mangoldt(field, Q)) for Q in monic_polys(field, j)]
+        powers = [(Q, lam) for Q, lam in powers if lam]
+        for mode in ("all_prime_powers", "prime_or_prime2"):
+            kept = [(Q, lam) for Q, lam in powers if mode == "all_prime_powers" or j // lam <= 2]
+            want = [sum(lam * jacobi_symbol(field, h, Q) for Q, lam in kept) for h in hs]
+            assert weighted_char_sums(field, rows, j, mode).tolist() == want, (j, mode)
+
+
 def test_explicit_formula_exact():
     for q in (3, 5):
         field = PrimeField(q)
@@ -467,6 +495,39 @@ def test_square_contribution_approaches_gaussian_moment():
         assert all(err <= 2.5 / q for err, q in zip(errs, (5, 13, 29)))
 
 
+def resultant(field, f, g):
+    """Res(f, g) over F_q by Euclid's algorithm: with r = f mod g,
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), and
+    Res(f, c) = c^(deg f) for a constant c."""
+    q, out = field.q, 1
+    while len(g) > 1:
+        r = poly_divmod(field, f, g)[1]
+        if not r:
+            return 0
+        m, n = len(f) - 1, len(g) - 1
+        out = out * (-1) ** (m * n) * pow(g[-1], m - len(r) + 1, q) % q
+        f, g = g, r
+    return out * pow(g[0], len(f) - 1, q) % q if g else 0
+
+
+def resultant_symbol(field, h, p):
+    """(h/P) for a monic prime P as chi(Res(P, h)): Res(P, h) is the norm of
+    h(alpha) for a root alpha of P, and Euler's criterion in F_{q^deg P}
+    reduces to the one in F_q."""
+    return field.chi(resultant(field, p, h))
+
+
+def test_resultant_symbol_matches_legendre():
+    rng = np.random.default_rng(4)
+    for q in (3, 5, 7):
+        field = PrimeField(q)
+        primes = [p for j in (1, 2, 3) for p in primes_of_degree(field, j)]
+        hs = [random_poly(field, rng, 3) for _ in range(4)] + [poly_mul(field, primes[0], primes[-1])]
+        for h in hs:
+            for p in primes:
+                assert resultant_symbol(field, h, p) == legendre_symbol(field, h, p), (q, h, p)
+
+
 def test_weil_bound_decay():
     rng = np.random.default_rng(3)
     qs = (3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -475,13 +536,5 @@ def test_weil_bound_decay():
         for _ in range(4):
             h = random_poly(field, rng, 3)
             for j in (1, 2, 3):
-                total = sum(legendre_symbol(field, h, p) for p in primes_of_degree(field, j))
+                total = sum(resultant_symbol(field, h, p) for p in primes_of_degree(field, j))
                 assert abs(total) <= 4 * q ** (j / 2)
-
-
-def test_poly_text_format():
-    field, h = parse_poly_spec("q=3; h=0,-1,0,1")
-    assert field.q == 3 and h == (0, 2, 0, 1)
-    assert format_poly(field, h) == "0,2,0,1"
-    with pytest.raises(ParseError):
-        parse_poly_spec("q=3 h=1")

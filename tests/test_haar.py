@@ -118,6 +118,8 @@ def test_config_for_another_n_is_rejected():
     with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
         moment_mc(1, a, MCConfig(3, 1000, 0))
     with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
+        moment_mc(1, Partition(), MCConfig(3, 1000, 0))  # the empty product too
+    with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
         run_mc(1, MCConfig(3, 1000, 0), _offset_stat, (0.0,), 1)
     with pytest.raises(PreconditionViolated, match="n = 4, not n = 1"):
         moment_quadrature(1, a, QuadratureConfig(4, 5))
