@@ -11,8 +11,19 @@ eta_m (m-1)!! ||f||^m nu^(m/2), and their ratio.
 import argparse
 import math
 
-from symp.errors import OutOfRange
+from symp.errors import OutOfRange, ParseError
 from symp.linstat import FourierTestFn, statistic_moment_exact, statistic_moment_gaussian
+
+
+def _orders(parser: argparse.ArgumentParser, flag: str, text: str) -> list[int]:
+    """The comma-separated non-negative integers of `flag`, or exit 2 naming it."""
+    try:
+        values = [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
+    if min(values) < 0:
+        parser.error(f"{flag}: must be non-negative, got {min(values)}")
+    return values
 
 
 def main() -> None:
@@ -22,9 +33,12 @@ def main() -> None:
     parser.add_argument("--n", default="20,40,80,160")
     args = parser.parse_args()
 
-    f = FourierTestFn.parse(args.f)
-    ms = [int(tok) for tok in args.m.split(",")]
-    ns = [int(tok) for tok in args.n.split(",")]
+    try:
+        f = FourierTestFn.parse(args.f)
+    except ParseError as exc:
+        parser.error(f"--f: {exc}")
+    ms = _orders(parser, "--m", args.m)
+    ns = _orders(parser, "--n", args.n)
     print(f"{'n':>5} {'nu':>5} {'m':>3} {'exact':>16} {'gaussian':>14} {'ratio':>10}")
     for n in ns:
         nu = n // 2
@@ -38,9 +52,11 @@ def main() -> None:
                 continue
             if main_term:
                 ratio = f"{float(exact) / main_term:10.5f}"
-            else:
+            elif nu:
                 # odd m: report the decaying scaled size instead of a ratio
                 ratio = f"{abs(float(exact)) / nu ** (m / 2) * math.sqrt(n):8.3f}/sqrt(n)"
+            else:
+                ratio = f"{'-':>10}"  # nu = 0 (n <= 1): no scale nu^(m/2) to compare with
             print(f"{n:>5} {nu:>5} {m:>3} {float(exact):>16.4f} {main_term:>14.4f} {ratio}")
 
 

@@ -90,12 +90,12 @@ def _parse_partition(text: str, flag: str) -> Partition:
 
 def _check_flags(args) -> None:
     """Reject a negative matrix size --n or moment order --m, and a sample
-    or worker count below 1."""
+    count, worker count or finite-field budget below 1."""
     for flag in ("n", "m"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ParseError(f"--{flag}: must be non-negative, got {value}")
-    for flag in ("samples", "threads"):
+    for flag in ("samples", "threads", "budget"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ParseError(f"--{flag}: must be at least 1, got {value}")

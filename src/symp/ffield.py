@@ -17,6 +17,13 @@ built by reducing the squares of all residues through the same map); the
 family sums read two per-degree columns, sum_P (h/P) and #{P : P does not
 divide h}, from one loop over the primes of that degree.
 
+The family sums run over one curve per translation orbit.  h(x) -> h(x+v)
+permutes the primes of every degree, so it keeps every per-curve sum
+sum_Q Lambda(Q) (h/Q); it moves c_{d-1} to c_{d-1} + d v, so when q does not
+divide d = deg h each orbit holds exactly one h with c_{d-1} = 0, and a sum
+over the family (or over all monic h) is q times the sum over those.  When q
+divides d every h keeps its c_{d-1} and the sums run over all rows.
+
 The main consumers:
 
 * ``l_polynomial`` -- the numerator polynomial of the zeta function of
@@ -34,11 +41,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotSquarefree
+from .errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from .partitions import Partition
 
 Poly = tuple[int, ...]
@@ -424,8 +431,14 @@ def symbols_batch(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
     return char_table(field, p)[_residue_codes(field, rows, p)]
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in get_args(Mode):
+        raise PreconditionViolated(f"unknown mode {mode!r}: expected one of {', '.join(get_args(Mode))}")
+
+
 def _power_degrees(j: int, mode: Mode) -> list[tuple[int, int]]:
     """(e, deg P) for every prime power P^e of degree j kept by `mode`."""
+    _check_mode(mode)
     return [(e, j // e) for e in range(1, j + 1) if j % e == 0 and (mode == "all_prime_powers" or e <= 2)]
 
 
@@ -571,6 +584,19 @@ def hyperelliptic_rows(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) 
     return rows[_squarefree_codes(field, 2 * n + 1, budget)]
 
 
+def _orbit_representatives(field: PrimeField, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """One monic row per orbit of h(x) -> h(x+v), and the orbit size.
+
+    When q does not divide d = deg h, the rows with c_{d-1} = 0 and weight q;
+    otherwise every row and weight 1.  Valid for any translation-closed set
+    of rows, such as all monic or all squarefree monic h of degree d.
+    """
+    degree = rows.shape[1] - 1
+    if degree % field.q == 0:
+        return rows, 1
+    return rows[rows[:, degree - 1] == 0], field.q
+
+
 def empirical_moment(
     field: PrimeField,
     n: int,
@@ -583,14 +609,17 @@ def empirical_moment(
     Per curve, q^{j/2} tr(Theta_h^j) = -sum_{deg Q = j} Lambda(Q) (h/Q); the
     products over j are exact Python integers, no overflow guard, summed
     before the single final division, so the average is independent of
-    chunking.
+    chunking.  The sum runs over one curve per translation orbit (all curves
+    when q divides 2n+1); the sum and the curve count are multiplied by the
+    orbit size before the division, so they are the full family's integers.
     """
-    rows = hyperelliptic_rows(field, n, budget)
+    _check_mode(mode)  # also for the empty partition, which reads no prime power
+    rows, weight = _orbit_representatives(field, hyperelliptic_rows(field, n, budget))
     product = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
         product = product * weighted_char_sums(field, rows, j, mode, budget).astype(object) ** m
     sign = (-1) ** a.length
-    return sign * int(product.sum()) / (rows.shape[0] * field.q ** (a.size / 2))
+    return sign * (weight * int(product.sum())) / (weight * rows.shape[0] * field.q ** (a.size / 2))
 
 
 def _elementary_from_power_sums(power: list[int], r: int) -> int:
@@ -608,15 +637,17 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
     """Sum over monic h of prod_j a_j! e_{a_j}(x_P : deg P = j), with x_P =
     (h/P), times j when weighted.  Newton's identities give e_m from the
     power sums sum_P x_P^k: scale^k times the ``_prime_sums`` column
-    sum_P (h/P) for odd k and #{P : P does not divide h} for even k."""
-    rows = monic_coeff_matrix(field, 2 * n + 1, budget)
+    sum_P (h/P) for odd k and #{P : P does not divide h} for even k.  The
+    summand is invariant under h(x) -> h(x+v), so the sum runs over one h
+    per translation orbit times the orbit size (all h when q divides 2n+1)."""
+    rows, weight = _orbit_representatives(field, monic_coeff_matrix(field, 2 * n + 1, budget))
     terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
         odd, even = _prime_sums(field, rows, j, budget).astype(object)
         scale = j if weighted else 1
         power = [scale**k * (odd if k % 2 else even) for k in range(1, m + 1)]
         terms = terms * (factorial(m) * _elementary_from_power_sums(power, m))
-    return int(terms.sum())
+    return weight * int(terms.sum())
 
 
 def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition, budget: int = DEFAULT_BUDGET) -> int:

@@ -124,6 +124,15 @@ def test_ffcheck_budget_covers_prime_tables(capsys):
     assert "q^5 = 3125 exceeds budget 1000" in err
 
 
+def test_ffcheck_non_positive_budget_exit(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "ffcheck", "--n", "1", "--partition", "1^2", "--q", "5", "--budget", budget
+        )
+        assert code == EXIT_CONFIG
+        assert out == "" and "--budget" in err and "exceeds" not in err
+
+
 def test_linstat_example(capsys):
     code, out, _ = run_cli(capsys, "linstat", "--n", "30", "--nu", "30", "--m", "2", "--f", "0:1")
     assert code == EXIT_OK

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symp.errors import BudgetExceeded, NotSquarefree
+from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from symp.ffield import (
+    _distinct_prime_sums,
     _factorizations,
+    _orbit_representatives,
     LPolynomial,
     PrimeField,
     char_sum_distinct_primes,
@@ -382,6 +384,81 @@ def test_empirical_moment_modes():
         - empirical_moment(f13, 1, a3, "prime_or_prime2")
     )
     assert d <= 3 / 13
+
+
+def test_unknown_mode_is_rejected():
+    for call in (
+        lambda: empirical_moment(F3, 1, Partition({1: 2}), "foo"),
+        lambda: empirical_moment(F3, 1, Partition(), "foo"),
+        lambda: weighted_char_sums(F3, hyperelliptic_rows(F3, 1), 1, "foo"),
+    ):
+        with pytest.raises(PreconditionViolated, match="'foo'"):
+            call()
+
+
+def translate_rows(field, rows, v):
+    """Coefficient rows of h(x + v): c'_k = sum_{i >= k} C(i, k) v^(i-k) c_i mod q."""
+    d = rows.shape[1] - 1
+    shift = np.array([[math.comb(i, k) * v ** (i - k) if i >= k else 0 for k in range(d + 1)] for i in range(d + 1)])
+    return (rows @ (shift % field.q)) % field.q
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_char_sums_invariant_under_translation(q):
+    """h(x) -> h(x+v) keeps every per-curve sum, the fact the orbit sums rest on."""
+    field = PrimeField(q)
+    rows = hyperelliptic_rows(field, 1)
+    for v in range(1, q):
+        moved = translate_rows(field, rows, v)
+        assert (moved[:, -1] == 1).all() and not (moved == rows).all(axis=1).any()
+        for mode in ("all_prime_powers", "prime_or_prime2"):
+            for j in (1, 2, 3):
+                assert np.array_equal(
+                    weighted_char_sums(field, moved, j, mode), weighted_char_sums(field, rows, j, mode)
+                )
+
+
+def full_distinct_prime_sum(symbols, a, weighted):
+    """Oracle over every monic h: prod_j a_j! e_{a_j}(x_P : deg P = j), with
+    e_m the t^m coefficient of prod_P (1 + x_P t), expanded prime by prime
+    (int64 is exact here: at most 55 primes of a degree and m <= 3).
+    `symbols[j]` holds the symbol vector of every prime of degree j."""
+    terms = 1
+    for j, m in a.items:
+        elem = [1] + [0] * m
+        for sym in symbols[j]:
+            x = sym * (j if weighted else 1)
+            elem = [1] + [elem[k] + x * elem[k - 1] for k in range(1, m + 1)]
+        terms = terms * (math.factorial(m) * elem[m].astype(object))
+    return int(terms.sum())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_orbit_sums_equal_full_family_sums(q, n):
+    """Every family sum equals the sum over all rows, as exact integers,
+    including q | 2n+1 ((3, 1), (5, 2)), where no rows are dropped."""
+    field = PrimeField(q)
+    rows = hyperelliptic_rows(field, n)
+    reduced, weight = _orbit_representatives(field, rows)
+    assert weight == (1 if (2 * n + 1) % q == 0 else q) and reduced.shape[0] * weight == rows.shape[0]
+    full_sums = {j: weighted_char_sums(field, rows, j, "all_prime_powers").astype(object) for j in (1, 2)}
+    reduced_sums = {j: weighted_char_sums(field, reduced, j, "all_prime_powers").astype(object) for j in (1, 2)}
+    monic = monic_coeff_matrix(field, 2 * n + 1)
+    symbols = {j: [symbols_batch(field, monic, p).astype(np.int64) for p in primes_of_degree(field, j)] for j in (1, 2)}
+    for text in ("1^1", "1^2", "2^1", "1^1 2^1", "2^2", "1^3 2^1"):
+        a = Partition.parse(text)
+        full = int(math.prod(full_sums[j] ** m for j, m in a.items).sum())
+        assert weight * int(math.prod(reduced_sums[j] ** m for j, m in a.items).sum()) == full
+        expected = (-1) ** a.length * full / (rows.shape[0] * q ** (a.size / 2))
+        assert empirical_moment(field, n, a) == expected
+        for weighted in (False, True):
+            assert _distinct_prime_sums(field, n, a, weighted, 10**8) == full_distinct_prime_sum(symbols, a, weighted)
+
+
+def test_empirical_moment_pinned_reduced_case():
+    # q = 23 does not divide 3: the sum runs over 1/23 of the curves
+    assert repr(empirical_moment(PrimeField(23), 1, Partition({2: 2}))) == "2.001808169639188"
 
 
 def test_distinct_prime_sums_zero_range():
