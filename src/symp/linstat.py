@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfRange, ParseError, PreconditionViolated
 from .haar import EigenAngles, MCConfig, run_mc
-from .moments import double_factorial, even_indicator, moment_usp_sum
+from .moments import double_factorial, even_indicator, moment_usp_sum, nonnegative_int
 from .partitions import Partition
 
 
@@ -117,12 +117,13 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     """E[W^m] via the trace-moment expansion; Fraction/int when f is rational,
     float otherwise (a float table is converted exactly and rounded once).
 
+    n and m must be non-negative integers (PreconditionViolated otherwise).
     Every multi-index within the Fourier support must induce a partition of
     size <= 4n+1; otherwise OutOfRange reports the first offending
     multi-index.
     """
-    if m < 0:
-        raise PreconditionViolated(f"moment order m = {m} is negative")
+    n = nonnegative_int(n, "n")
+    m = nonnegative_int(m, "moment order m")
     # fold the trace indices nu + s (s = +-j) onto |nu + s|: F_0 = fhat(nu)
     # and F_j = fhat(j - nu) + fhat(j + nu), since tr(U^-j) = tr(U^j)
     folded: dict[int, Fraction] = {}

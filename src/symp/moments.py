@@ -16,7 +16,12 @@ every factor splits per part size except phi's weight, which depends only on
 (size c, size d): 1 for empty c, -1 for even size c with
 size d <= size c/2 - n - 1, else 0.  The programme runs over the part sizes
 with states (parts placed, size c, size d) and drops a state as soon as that
-weight can no longer be nonzero.  In the Gaussian range size(a) <= 2n+1 only
+weight can no longer be nonzero.  Each part size makes one pass over the
+states: a memoized transfer table, keyed only by (j, w, k), lists every
+split k = b + d + e of its k parts as a step (size c += j(d+e), size d +=
+j d) with its integer weight, sorted by how much the step adds to the slack
+size c + reach - (2n+2) - 2 size d, so a state's pass stops at the first
+step that leaves phi no chance.  In the Gaussian range size(a) <= 2n+1 only
 the empty-c state survives, which is how the formula collapses to g(a).  The
 same programme sums the linear-statistic expansion of :mod:`symp.linstat`.
 Everything in this module is exact integer arithmetic; the only rounding
@@ -29,9 +34,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import index, itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import OutOfRange
+from .errors import OutOfRange, PreconditionViolated
 from .partitions import Partition, sub_partitions
 
 
@@ -96,76 +102,91 @@ def nongaussian_correction(n: int, c: Partition) -> int:
     return -acc
 
 
+def nonnegative_int(value, name: str) -> int:
+    """``value`` as an int (``operator.index``); PreconditionViolated naming
+    ``name`` unless it is a non-negative integer."""
+    try:
+        result = index(value)
+    except TypeError:
+        raise PreconditionViolated(f"{name} = {value!r} is not an integer") from None
+    if result < 0:
+        raise PreconditionViolated(f"{name} = {result} is negative")
+    return result
+
+
 def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     """Sum over index sequences of length m of the weighted USp moments.
 
     ``blocks`` lists ``(j, w, count)`` for distinct part sizes j >= 1; a
     sequence places k_j of its m indices on j and the remaining k_0 on the
     index 0, whose trace is the constant ``zero_weight``.  Either every
-    count is an int, and k_j == count, or every count is None, and k_j is
-    free.  Returns
+    count is an int, k_j == count and the counts sum to m, or every count is
+    None, and k_j is free.  Returns
 
         sum_k m!/(k_0! prod_j k_j!) zero_weight^k_0 prod_j w^k_j moment_usp(n, k)
 
-    for exact integer weights.  Each k_j splits as b + d + e (b the Gaussian
-    part, c = d + e the correction part, d the inner sum of phi), and
-    ``C(k,b) C(k-b,d) g_j(b) (-1)^(k+d) w^k`` factors per j.  Only phi
+    for exact integer weights.  Raises OutOfRange unless every k has size
+    <= 4n+1, where no formula is claimed.
+
+    Each k_j splits as b + d + e (b the Gaussian part, c = d + e the
+    correction part, d the inner sum of phi), and the weight
+    ``C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k`` factors per j.  Only phi
     couples the part sizes, through (size c, size d), so one pass over the
-    blocks with states (parts placed, size c, size d) sums every split.  A
-    state with c nonempty survives only while phi can still be nonzero at
-    the end: size d <= n-1 and size c can still reach 2n+2+2 size d.
+    blocks with states (parts placed t, size c, size d) sums every split:
+    block j moves a state by each entry (j(d+e), j d, weight) of its
+    transfer table for k, times C(t+k, k) for the interleaving.  A state
+    with c nonempty survives only while phi can still be nonzero at the
+    end: size d <= n-1 and size c can still reach 2n+2+2 size d.  Adding
+    the entry changes that slack by j(e-d), so a table lists its entries in
+    that order, largest first, and the first one that falls short ends the
+    state's pass; the entry b = k, which leaves c as it is, is kept apart
+    so that a state with empty c always survives.
     """
+    n = nonnegative_int(n, "n")
+    m = nonnegative_int(m, "m")
     # widest part first: what the remaining blocks can still add to size c
     # then shrinks fastest, and so does the set of surviving states
-    blocks = sorted(blocks, key=lambda block: -block[0])
-    fixed = bool(blocks) and blocks[0][2] is not None
+    blocks = sorted(blocks, key=itemgetter(0), reverse=True)
+    fixed = _check_blocks(m, blocks)
+    if fixed:
+        largest = sum(j * count for j, _, count in blocks)
+        states = {(0, 0, 0): 1}
+        later, end = largest, 0
+    else:
+        largest = m * blocks[0][0] if blocks else 0
+        states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
+        later, end = 0, m
+    if largest > 4 * n + 1:
+        raise OutOfRange(f"index sequences of size up to {largest} exceed 4n+1 = {4 * n + 1}")
     need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
-    states: dict[tuple[int, int, int], int] = {}
-    for k in range(m + 1):
-        if zero_weight**k:
-            states[(k, 0, 0)] = zero_weight**k
-    end = 0
-    for i, (j, w, count) in enumerate(blocks):
-        # reach[t]: the most size blocks i.. can still add once t parts are placed
+    for j, w, count in blocks:
+        # reach(u) = j (end - u) + later: the most size this block and the
+        # later ones can still add once u parts are placed
         if fixed:
             end += count
-            later = sum(jj * kk for jj, _, kk in blocks[i + 1 :])
-            reach = [j * (end - t) + later for t in range(end + 1)]
-        else:
-            end = m
-            reach = [j * (m - t) for t in range(m + 1)]
-        g = _gaussian_row(j, count if fixed else m)
-        # b: Gaussian parts, weight C(t+b, b) g_j(b) (-w)^b; c stays as it is
+            later -= j * count
+        tables = [(k, *_transfer_table(j, w, k)) for k in ((count,) if fixed else range(m + 1))]
         nxt: dict[tuple[int, int, int], int] = {}
+        get = nxt.get
         for (t, sc, sd), v in states.items():
-            for b in range(end - t + 1):
-                u = t + b
-                if sc + reach[u] < need + 2 * sd:
-                    if sc:
-                        break
-                    if fixed and u < end:
-                        continue  # c is empty so far, but the rest of the block goes to c
-                if g[b]:
+            short = need + 2 * sd - sc - later - j * end
+            for k, whole, entries in tables:
+                u = t + k
+                if u > m:
+                    break
+                lim = short + j * u  # need + 2 sd - sc - reach(u): the slack an entry needs
+                f = v * comb(u, k)
+                if whole and (not sc or lim <= 0):
                     key = (u, sc, sd)
-                    nxt[key] = nxt.get(key, 0) + v * comb(u, b) * g[b] * (-w) ** b
-        # d: parts of c inside phi's inner sum, weight C(t+d, d) w^d
-        states, nxt = nxt, dict(nxt)
-        for (t, sc, sd), v in states.items():
-            for d in range(1, end - t + 1):
-                u, uc, ud = t + d, sc + j * d, sd + j * d
-                if ud >= n or uc + reach[u] < need + 2 * ud:
-                    break
-                key = (u, uc, ud)
-                nxt[key] = nxt.get(key, 0) + v * comb(u, d) * w**d
-        # e: the rest of c, weight C(t+e, e) (-w)^e
-        states, nxt = nxt, {}
-        for (t, sc, sd), v in states.items():
-            for e in range(end - t if fixed else 0, end - t + 1):
-                u, uc = t + e, sc + j * e
-                if e and uc + reach[u] < need + 2 * sd:
-                    break
-                key = (u, uc, sd)
-                nxt[key] = nxt.get(key, 0) + v * comb(u, e) * (-w) ** e
+                    nxt[key] = get(key, 0) + f * whole
+                for slack, dc, dd, coef in entries:
+                    if slack < lim:
+                        break
+                    ud = sd + dd
+                    if ud >= n:
+                        continue
+                    key = (u, sc + dc, ud)
+                    nxt[key] = get(key, 0) + f * coef
         states = nxt
     total = 0
     for (t, sc, sd), v in states.items():
@@ -178,19 +199,61 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     return total
 
 
-@lru_cache(maxsize=1024)
-def _gaussian_row(j: int, top: int) -> tuple[int, ...]:
-    """gaussian_moment_single(j, k) for k = 0..top."""
-    return tuple(gaussian_moment_single(j, k) for k in range(top + 1))
+def _check_blocks(m: int, blocks) -> bool:
+    """Whether the counts are fixed; PreconditionViolated unless the part
+    sizes are distinct and >= 1 and the counts are all None or all
+    non-negative and summing to m.  ``blocks`` is sorted widest first."""
+    if not blocks:
+        return False
+    if blocks[-1][0] < 1:
+        raise PreconditionViolated(f"part size {blocks[-1][0]} is below 1")
+    for (j, _, _), (i, _, _) in zip(blocks, blocks[1:]):
+        if j == i:
+            raise PreconditionViolated(f"part size {j} appears in more than one block")
+    counts = [count for _, _, count in blocks]
+    nones = counts.count(None)
+    if nones == len(counts):
+        return False
+    if nones:
+        raise PreconditionViolated("block counts mix ints and None; give all or none")
+    if min(counts) < 0:
+        raise PreconditionViolated(f"block count {min(counts)} is negative")
+    if sum(counts) != m:
+        raise PreconditionViolated(f"block counts sum to {sum(counts)}, not m = {m}")
+    return True
+
+
+@lru_cache(maxsize=256)
+def _transfer_table(j: int, w: int, k: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """How k parts of size j and weight w move a state (t, size c, size d).
+
+    Returns the weight of the split b = k, which leaves c as it is, and the
+    entries (slack j(e-d), size c step j(d+e), size d step j d, weight) of
+    every other split k = b + d + e with a nonzero weight
+    C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k, largest slack first.  Keyed by
+    the block alone, never by n or by a partition.
+    """
+    g = [gaussian_moment_single(j, b) for b in range(k + 1)]
+    entries = []
+    for d in range(k + 1):
+        for e in range(k + 1 - d):
+            b = k - d - e
+            coef = comb(k, b) * comb(d + e, d) * g[b] * (-1) ** (b + e) * w**k
+            if (d or e) and coef:
+                entries.append((j * (e - d), j * (d + e), j * d, coef))
+    entries.sort(key=itemgetter(0), reverse=True)
+    return g[k] * (-w) ** k, tuple(entries)
 
 
 def moment_usp(n: int, a: Partition) -> int:
     """Exact Haar moment of prod_j tr(U^j)^{a_j} over USp(2n).
 
     Valid (and asserted) only for size(a) <= 4n+1; raises OutOfRange beyond,
-    where no formula is claimed.  The m!/prod_j a_j! index sequences that
-    realise a are summed by ``moment_usp_sum`` and divided out.
+    where no formula is claimed, and PreconditionViolated unless n is a
+    non-negative integer.  The m!/prod_j a_j! index sequences that realise
+    a are summed by ``moment_usp_sum`` and divided out.
     """
+    n = nonnegative_int(n, "n")
     if a.size > 4 * n + 1:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
     sequences = factorial(a.length)

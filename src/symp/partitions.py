@@ -23,10 +23,11 @@ DEFAULT_SIZE_CAP = 40
 class Partition:
     """Immutable sparse partition; zero multiplicities are never stored."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_length", "_size")
 
     def __init__(self, parts: Mapping[int, int] | None = None):
         items = []
+        length = size = 0
         if parts:
             for j in sorted(parts):
                 m = parts[j]
@@ -34,8 +35,13 @@ class Partition:
                     continue
                 if j < 1 or m < 0:
                     raise ValueError(f"invalid partition entry {j}:{m}")
-                items.append((int(j), int(m)))
+                j, m = int(j), int(m)
+                items.append((j, m))
+                length += m
+                size += j * m
         self._items = tuple(items)
+        self._length = length
+        self._size = size
 
     @property
     def parts(self) -> dict[int, int]:
@@ -53,11 +59,11 @@ class Partition:
 
     @property
     def length(self) -> int:
-        return sum(m for _, m in self._items)
+        return self._length
 
     @property
     def size(self) -> int:
-        return sum(j * m for j, m in self._items)
+        return self._size
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -130,6 +130,19 @@ def test_exact_moment_rejects_negative_order():
         statistic_moment_exact(3, 3, -1, FH)
 
 
+@pytest.mark.parametrize(
+    "n,m,fault",
+    [
+        (1.5, 2, "n = 1.5 is not an integer"),
+        (-5, 0, "n = -5 is negative"),
+        (3, 2.0, "m = 2.0 is not an integer"),
+    ],
+)
+def test_exact_moment_rejects_bad_n_and_m(n, m, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        statistic_moment_exact(n, 0, m, FH)
+
+
 def test_exact_moment_orders_zero_and_empty_table():
     assert statistic_moment_exact(3, 3, 0, FH) == 1
     assert statistic_moment_exact(3, 3, 0, FourierTestFn.parse("")) == 1

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symp.errors import OutOfRange
+from symp.errors import OutOfRange, PreconditionViolated
 from symp.moments import (
     double_factorial,
     enumerate_pairings,
@@ -15,6 +17,7 @@ from symp.moments import (
     moment_u_gaussian,
     moment_usp,
     moment_usp_gaussian,
+    moment_usp_sum,
     nongaussian_correction,
     pairing_weight_sum,
 )
@@ -91,6 +94,91 @@ def test_moment_usp_matches_definition():
 def test_moment_usp_matches_definition_large():
     a = Partition({1: 30, 2: 15, 3: 10})
     assert moment_usp(30, a) == moment_usp_by_definition(30, a) == -944448840512881392775269194555
+
+
+# sha256 of repr([(n, a.format(), moment_usp(n, a))]) over every partition of
+# size <= 4n+1, n = 1..6, recorded from the three-pass programme that the
+# transfer tables replaced
+SWEEP_DIGEST = "f255078be5a34e573b6ae98d6eddcc5b1cbed255db721cbc6a8fde611f3056bc"
+
+
+def test_moment_usp_sweep_digest():
+    rows = [(n, a.format(), moment_usp(n, a)) for n in range(1, 7) for a in partitions_of_size_at_most(4 * n + 1)]
+    assert len(rows) == 14503
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SWEEP_DIGEST
+
+
+def _compositions(m, parts):
+    """Every (k_0, k_1, ..., k_parts) of non-negative ints summing to m."""
+    if parts == 0:
+        yield (m,)
+        return
+    for k in range(m + 1):
+        for rest in _compositions(m - k, parts - 1):
+            yield rest + (k,)
+
+
+FREE_BLOCKS = [
+    ([(1, 1, None)], 0),
+    ([(1, -1, None)], 7),
+    ([(1, 2, None), (2, -3, None)], -5),
+    ([(3, 2, None), (1, 1, None), (2, 5, None)], 0),
+    ([(2, -1, None), (3, 4, None)], 3),
+]
+
+
+@pytest.mark.parametrize("blocks,zero_weight", FREE_BLOCKS)
+def test_free_mode_is_the_multinomial_sum_of_fixed_moments(blocks, zero_weight):
+    """Free counts sum m!/(k_0! prod k_j!) z^k_0 prod w_j^k_j moment_usp(n, k)."""
+    widest = max(j for j, _, _ in blocks)
+    checked = 0
+    for n in range(0, 5):
+        for m in range(0, 7):
+            if m * widest > 4 * n + 1:
+                continue
+            expected = 0
+            for ks in _compositions(m, len(blocks)):
+                term = factorial(m) * zero_weight ** ks[0] // factorial(ks[0])
+                for (j, w, _), k in zip(blocks, ks[1:]):
+                    term = term * w**k // factorial(k)
+                a = Partition({j: k for (j, _, _), k in zip(blocks, ks[1:]) if k})
+                expected += term * moment_usp(n, a)
+            assert moment_usp_sum(n, m, blocks, zero_weight) == expected, (n, m)
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "m,blocks,fault",
+    [
+        (2, [(1, 1, 2), (2, 1, None)], "mix ints and None"),
+        (3, [(1, 1, 2)], "sum to 2, not m = 3"),
+        (2, [(1, 1, 1), (1, 1, 1)], "part size 1 appears in more than one block"),
+        (2, [(0, 1, None)], "part size 0 is below 1"),
+        (2, [(1, 1, -1), (2, 1, 3)], "count -1 is negative"),
+    ],
+)
+def test_moment_usp_sum_rejects_malformed_blocks(m, blocks, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_usp_sum(2, m, blocks)
+
+
+def test_moment_usp_sum_rejects_sizes_past_4n_plus_1():
+    assert moment_usp_sum(1, 4, [(1, 1, 4)]) == moment_usp(1, Partition({1: 4})) == 2
+    with pytest.raises(OutOfRange, match="size up to 6 exceed 4n\\+1 = 5"):
+        moment_usp_sum(1, 6, [(1, 1, 6)])
+    with pytest.raises(OutOfRange, match="size up to 6 exceed 4n\\+1 = 5"):
+        moment_usp_sum(1, 3, [(1, 1, None), (2, 1, None)])
+
+
+@pytest.mark.parametrize("n,fault", [(1.5, "n = 1.5 is not an integer"), (-1, "n = -1 is negative")])
+def test_moment_usp_rejects_bad_n(n, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_usp(n, Partition({1: 2}))
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_usp(n, Partition())
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_usp_sum(n, 2, [(1, 1, 2)])
 
 
 def test_moment_usp_frozen_values():

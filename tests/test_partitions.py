@@ -31,6 +31,14 @@ def test_length_and_size():
     assert a.length == 3 and a.size == 5
 
 
+def test_length_and_size_after_arithmetic():
+    a = Partition({2: 3, 5: 1}) - Partition({2: 1})
+    assert (a.length, a.size) == (3, 9)
+    assert a == Partition({5: 1, 2: 2}) and hash(a) == hash(Partition({2: 2, 5: 1}))
+    assert repr(a) == "Partition({2: 2, 5: 1})"
+    assert Partition.parse(a.format()).size == 9
+
+
 def test_leq():
     assert Partition() <= Partition({1: 4})
     assert Partition({1: 2}) <= Partition({1: 4})
