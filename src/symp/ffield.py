@@ -8,9 +8,10 @@ full sweep over all monic h of degree 2n+1 stays vectorized; reductions over
 the family multiply and sum whole columns of exact Python integers (numpy
 object arrays, no overflow guard), so they are exact at any size and
 independent of scheduling.
-Prime tables, the squarefree family and the factorizations behind the
-L-polynomials are sieves over base-q codes sum_i c_i q^i of monic
-polynomials (a code is the row index in ``monic_coeff_matrix``).  Every
+Prime tables, the squarefree family and the L-polynomials' tables of
+(h/F) are sieves over base-q codes sum_i c_i q^i of monic polynomials (a
+code is the row index in ``monic_coeff_matrix``); (h/F) is completely
+multiplicative in F, so the row of P * G is (h/P) (h/G).  Every
 prime symbol (h/P) comes by one route: coefficient rows times the matrix
 of x^t mod P give residue codes, which index P's character table (itself
 built by reducing the squares of all residues through the same map); the
@@ -46,10 +47,10 @@ from typing import Iterator, Literal, Sequence, get_args
 import numpy as np
 
 from .errors import BudgetExceeded, NotSquarefree, PreconditionViolated
+from .moments import nonnegative_int
 from .partitions import Partition
 
 Poly = tuple[int, ...]
-Factorization = tuple[tuple[Poly, int], ...]
 
 DEFAULT_BUDGET = 10**8
 
@@ -82,7 +83,6 @@ class PrimeField:
         self._primes: dict[int, list[Poly]] = {}
         self._char_tables: dict[Poly, np.ndarray] = {}
         self._residue_squares: dict[int, np.ndarray] = {}
-        self._factorizations: dict[int, list[Factorization]] = {}
 
     def chi(self, v: int) -> int:
         """Quadratic character of F_q (0 at 0)."""
@@ -236,7 +236,7 @@ def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGE
     return field._primes[degree]
 
 
-def factorize(field: PrimeField, f: Poly) -> Factorization:
+def factorize(field: PrimeField, f: Poly) -> tuple[tuple[Poly, int], ...]:
     """Factorization of a monic polynomial into (prime, exponent) pairs."""
     if not poly_is_monic(f):
         raise ValueError("factorize expects a monic polynomial")
@@ -308,7 +308,7 @@ def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDG
 
 def monic_coeff_matrix(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """(q^degree, degree+1) int64 rows [c_0 .. c_{degree-1}, 1]; row index = base-q code."""
-    count = field.q**degree
+    count = field.q ** nonnegative_int(degree, "degree")
     if count > budget:
         raise BudgetExceeded(f"q^{degree} = {count} exceeds budget {budget}")
     return _code_rows(field, np.arange(count), degree)
@@ -326,6 +326,11 @@ def _code_rows(field: PrimeField, codes: np.ndarray, degree: int) -> np.ndarray:
         rows[:, i] = (codes // q**i) % q
     rows[:, degree] = 1
     return rows
+
+
+def _code(field: PrimeField, p: Poly) -> int:
+    """Base-q code of the monic p (its row index in ``monic_coeff_matrix``)."""
+    return sum(c * field.q**k for k, c in enumerate(p[:-1]))
 
 
 def _product_codes(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,7 +366,7 @@ def _squarefree_codes(field: PrimeField, degree: int, budget: int) -> np.ndarray
     """Mask over the base-q codes of monic polynomials of the given degree,
     True where squarefree: a sieve that marks P^2 * G for every prime P of
     degree e <= degree/2 and every monic G of degree - 2e."""
-    if field.q**degree > budget:
+    if field.q ** nonnegative_int(degree, "degree") > budget:
         raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
     squarefree = np.ones(field.q**degree, dtype=bool)
     for e in range(1, degree // 2 + 1):
@@ -499,51 +504,30 @@ class LPolynomial:
         return 1.0 / np.roots(np.array(self.c[::-1], dtype=float))
 
 
-def _factorizations(field: PrimeField, degree: int) -> list[Factorization]:
-    """``factorize(f)`` for every monic f of degree >= 1, indexed by base-q
-    code (cached).
-
-    A sieve: the code of P * G, with P prime of degree e <= degree/2 and G
-    monic, gets G's factorization (from the table of degree - e) with P
-    added; the codes no product reaches are the primes.
-    """
-    if degree not in field._factorizations:
-        table: list[Factorization | None] = [None] * field.q**degree
-        for e in range(1, degree // 2 + 1):
-            primes = primes_of_degree(field, e)
-            cofactors = _factorizations(field, degree - e)
-            codes = _product_codes(field, np.array(primes, dtype=np.int64), monic_coeff_matrix(field, degree - e))
-            for k, code in enumerate(codes.tolist()):
-                if table[code] is None:
-                    factors = dict(cofactors[k % len(cofactors)])
-                    p = primes[k // len(cofactors)]
-                    factors[p] = factors.get(p, 0) + 1
-                    table[code] = tuple(sorted(factors.items()))
-        unreached = [code for code, factors in enumerate(table) if factors is None]
-        for code, p in zip(unreached, _code_rows(field, np.array(unreached), degree).tolist()):
-            table[code] = ((tuple(p), 1),)
-        field._factorizations[degree] = table
-    return field._factorizations[degree]
-
-
 def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarray:
-    """c_0..c_{2n} for every (squarefree monic, degree 2n+1) coefficient row."""
-    count = rows.shape[0]
-    coeffs = np.zeros((count, 2 * n + 1), dtype=np.int64)
-    coeffs[:, 0] = 1
-    symbols: dict[Poly, np.ndarray] = {}  # one vector per prime, shared by every F it divides
+    """c_0..c_{2n} for every (squarefree monic, degree 2n+1) coefficient row.
+
+    c_i = sum_{deg F = i} (h/F), by a sieve over the base-q codes of F: an
+    int8 table of (h/F) per degree, one row per code and one column per
+    curve.  The symbol is completely multiplicative, so the row of P * G,
+    with P prime of degree e <= i/2 and G monic, is (h/P) (h/G), written one
+    prime at a time (every split of F writes the same value); the row of a
+    prime of degree i is its own ``symbols_batch`` vector.
+    """
+    if rows.shape[1] != 2 * n + 2:
+        raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
+    tables = [np.ones((1, rows.shape[0]), dtype=np.int8)]  # degree 0: F = 1
     for i in range(1, 2 * n + 1):
-        acc = np.zeros(count, dtype=np.int64)
-        for factors in _factorizations(field, i):
-            sym = np.ones(count, dtype=np.int64)
-            for p, e in factors:
-                if p not in symbols:
-                    symbols[p] = symbols_batch(field, rows, p)
-                v = symbols[p]
-                sym *= v if e % 2 else v * v
-            acc += sym
-        coeffs[:, i] = acc
-    return coeffs
+        table = np.zeros((field.q**i, rows.shape[0]), dtype=np.int8)
+        for e in range(1, i // 2 + 1):
+            primes = primes_of_degree(field, e)
+            products = _product_codes(field, np.array(primes, dtype=np.int64), monic_coeff_matrix(field, i - e))
+            for p, codes in zip(primes, products.reshape(len(primes), -1)):
+                table[codes] = tables[e][_code(field, p)] * tables[i - e]
+        for p in primes_of_degree(field, i):
+            table[_code(field, p)] = symbols_batch(field, rows, p)
+        tables.append(table)
+    return np.stack([table.sum(axis=0, dtype=np.int64) for table in tables], axis=1)
 
 
 def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:
@@ -580,6 +564,7 @@ def frobenius_power_sums(lpoly: LPolynomial, j_max: int) -> list[int]:
 
 def hyperelliptic_rows(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Coefficient rows of the family {h monic squarefree, deg h = 2n+1}."""
+    n = nonnegative_int(n, "n")
     rows = monic_coeff_matrix(field, 2 * n + 1, budget)
     return rows[_squarefree_codes(field, 2 * n + 1, budget)]
 
@@ -640,6 +625,7 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
     sum_P (h/P) for odd k and #{P : P does not divide h} for even k.  The
     summand is invariant under h(x) -> h(x+v), so the sum runs over one h
     per translation orbit times the orbit size (all h when q divides 2n+1)."""
+    n = nonnegative_int(n, "n")
     rows, weight = _orbit_representatives(field, monic_coeff_matrix(field, 2 * n + 1, budget))
     terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import OutOfRange, ParseError, PreconditionViolated
 from .haar import EigenAngles, MCConfig, run_mc
-from .moments import double_factorial, even_indicator, moment_usp_sum, nonnegative_int
+from .moments import double_factorial, even_indicator, integer, moment_usp_sum, nonnegative_int
 from .partitions import Partition
 
 
@@ -117,12 +117,13 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     """E[W^m] via the trace-moment expansion; Fraction/int when f is rational,
     float otherwise (a float table is converted exactly and rounded once).
 
-    n and m must be non-negative integers (PreconditionViolated otherwise).
-    Every multi-index within the Fourier support must induce a partition of
-    size <= 4n+1; otherwise OutOfRange reports the first offending
-    multi-index.
+    n and m must be non-negative integers and nu an integer
+    (PreconditionViolated otherwise).  Every multi-index within the Fourier
+    support must induce a partition of size <= 4n+1; otherwise OutOfRange
+    reports the first offending multi-index.
     """
     n = nonnegative_int(n, "n")
+    nu = integer(nu, "nu")
     m = nonnegative_int(m, "moment order m")
     # fold the trace indices nu + s (s = +-j) onto |nu + s|: F_0 = fhat(nu)
     # and F_j = fhat(j - nu) + fhat(j + nu), since tr(U^-j) = tr(U^j)
@@ -166,6 +167,9 @@ def statistic_moment_gaussian(n: int, nu: int, m: int, f: FourierTestFn) -> floa
     W's law is symmetric in nu (the angles come in pairs +-theta), so the
     term depends on |nu| only, like the exact moment.
     """
+    nonnegative_int(n, "n")
+    nu = integer(nu, "nu")
+    m = nonnegative_int(m, "moment order m")
     if even_indicator(m) == 0:
         return 0.0
     return double_factorial(m - 1) * float(f.norm_sq()) ** (m // 2) * float(abs(nu)) ** (m / 2)
@@ -175,8 +179,11 @@ def moment_main_term(n: int, nu: int, a: Partition) -> int:
     """Leading term of moment_usp(n, a) for partitions concentrated near nu:
     (prod_j eta_{a_j} (a_j - 1)!!) * nu^(len(a)/2).
 
-    Requires size(a) <= 4n+1 and support within |j - nu| <= sqrt(n).
+    Requires n >= 0 and nu integers, size(a) <= 4n+1 and support within
+    |j - nu| <= sqrt(n).
     """
+    n = nonnegative_int(n, "n")
+    nu = integer(nu, "nu")
     if a.size > 4 * n + 1:
         raise PreconditionViolated(f"size {a.size} > 4n+1 = {4 * n + 1}")
     root = math.sqrt(n)
@@ -211,9 +218,13 @@ def statistic_moments_mc(
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Monte Carlo (estimate, stderr) of E[W^m] for each m, from one shared
-    sample stream (identical to separate equal-seed runs, just cheaper)."""
+    sample stream (identical to separate equal-seed runs, just cheaper).
+    n and every m must be non-negative integers and nu an integer."""
+    n = nonnegative_int(n, "n")
+    nu = integer(nu, "nu")
+    ms = tuple(nonnegative_int(m, "moment order m") for m in ms)
     coeff_items = tuple((j, float(v)) for j, v in f.coefficients)
-    return run_mc(n, cfg, _w_power_stat, (nu, coeff_items, tuple(ms)), len(ms), threads)
+    return run_mc(n, cfg, _w_power_stat, (nu, coeff_items, ms), len(ms), threads)
 
 
 def statistic_moment_mc(

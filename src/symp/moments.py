@@ -102,13 +102,19 @@ def nongaussian_correction(n: int, c: Partition) -> int:
     return -acc
 
 
-def nonnegative_int(value, name: str) -> int:
+def integer(value, name: str) -> int:
     """``value`` as an int (``operator.index``); PreconditionViolated naming
-    ``name`` unless it is a non-negative integer."""
+    ``name`` unless it is an integer."""
     try:
-        result = index(value)
+        return index(value)
     except TypeError:
         raise PreconditionViolated(f"{name} = {value!r} is not an integer") from None
+
+
+def nonnegative_int(value, name: str) -> int:
+    """``value`` as an int; PreconditionViolated naming ``name`` unless it
+    is a non-negative integer."""
+    result = integer(value, name)
     if result < 0:
         raise PreconditionViolated(f"{name} = {result} is negative")
     return result

@@ -127,9 +127,6 @@ class Partition:
         return f"Partition({dict(self._items)!r})"
 
 
-EMPTY = Partition()
-
-
 def sub_partitions(a: Partition) -> Iterator[Partition]:
     """All b <= a, exactly prod_j (a_j + 1) of them, in lexicographic order
     of the multiplicity vector (ordered by part size, then multiplicity)."""

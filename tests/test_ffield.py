@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from symp.ffield import (
     _distinct_prime_sums,
-    _factorizations,
     _orbit_representatives,
     LPolynomial,
     PrimeField,
@@ -127,14 +126,6 @@ def test_prime_sieve_gauss_count():
         for d in range(1, 5):
             assert len(primes_of_degree(field, d)) == mobius_prime_count(q, d), (q, d)
     assert primes_of_degree(F3, 0) == []
-
-
-def test_factorization_table_matches_factorize():
-    for q in (3, 5):
-        field = PrimeField(q)
-        for d in range(1, 5):
-            polys = [tuple(row) for row in monic_coeff_matrix(field, d).tolist()]
-            assert _factorizations(field, d) == [factorize(field, f) for f in polys], (q, d)
 
 
 def test_is_irreducible_matches_brute():
@@ -394,6 +385,32 @@ def test_unknown_mode_is_rejected():
     ):
         with pytest.raises(PreconditionViolated, match="'foo'"):
             call()
+
+
+@pytest.mark.parametrize(
+    "call,fault",
+    [
+        (lambda: empirical_moment(F5, -1, Partition({1: 2})), "n = -1 is negative"),
+        (lambda: empirical_moment(F5, 1.5, Partition({1: 2})), "n = 1.5 is not an integer"),
+        (lambda: hyperelliptic_rows(F5, -1), "n = -1 is negative"),
+        (lambda: char_sum_distinct_primes(F5, -1, Partition({1: 1})), "n = -1 is negative"),
+        (lambda: monic_coeff_matrix(F5, -1), "degree = -1 is negative"),
+        (lambda: squarefree_monics(F5, -1), "degree = -1 is negative"),
+        (lambda: l_polynomials_batch(F5, 2, hyperelliptic_rows(F5, 1)), "rows of degree 3 for n = 2"),
+    ],
+    ids=[
+        "empirical_negative_n",
+        "empirical_fractional_n",
+        "family_negative_n",
+        "charsum_negative_n",
+        "monics_negative_degree",
+        "squarefree_negative_degree",
+        "lpoly_rows_of_other_degree",
+    ],
+)
+def test_bad_n_or_degree_is_rejected(call, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        call()
 
 
 def translate_rows(field, rows, v):

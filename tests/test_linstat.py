@@ -143,6 +143,32 @@ def test_exact_moment_rejects_bad_n_and_m(n, m, fault):
         statistic_moment_exact(n, 0, m, FH)
 
 
+@pytest.mark.parametrize(
+    "call,fault",
+    [
+        (lambda: statistic_moment_exact(3, 1.5, 2, FH), "nu = 1.5 is not an integer"),
+        (lambda: moment_main_term(4, 2.5, Partition({2: 2})), "nu = 2.5 is not an integer"),
+        (lambda: moment_main_term(1.5, 1, Partition({1: 2})), "n = 1.5 is not an integer"),
+        (lambda: moment_main_term(-1, 0, Partition()), "n = -1 is negative"),
+        (lambda: statistic_moment_gaussian(4, 2.5, 2, FH), "nu = 2.5 is not an integer"),
+        (lambda: statistic_moment_gaussian(4, 2, -2, FH), "m = -2 is negative"),
+        (lambda: statistic_moment_mc(2, 1, -1, FH, MCConfig(2, 10, 1)), "m = -1 is negative"),
+    ],
+    ids=[
+        "exact_fractional_nu",
+        "main_term_fractional_nu",
+        "main_term_fractional_n",
+        "main_term_negative_n",
+        "gaussian_fractional_nu",
+        "gaussian_negative_m",
+        "mc_negative_m",
+    ],
+)
+def test_linstat_rejects_bad_arguments(call, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        call()
+
+
 def test_exact_moment_orders_zero_and_empty_table():
     assert statistic_moment_exact(3, 3, 0, FH) == 1
     assert statistic_moment_exact(3, 3, 0, FourierTestFn.parse("")) == 1
