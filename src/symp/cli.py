@@ -89,9 +89,9 @@ def _parse_partition(text: str, flag: str) -> Partition:
 
 
 def _check_flags(args) -> None:
-    """Reject a negative matrix size --n or moment order --m, and a sample
-    count, worker count or finite-field budget below 1."""
-    for flag in ("n", "m"):
+    """Reject a negative matrix size --n, moment order --m or seed --seed,
+    and a sample count, worker count or finite-field budget below 1."""
+    for flag in ("n", "m", "seed"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ParseError(f"--{flag}: must be non-negative, got {value}")

@@ -512,10 +512,15 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
     curve.  The symbol is completely multiplicative, so the row of P * G,
     with P prime of degree e <= i/2 and G monic, is (h/P) (h/G), written one
     prime at a time (every split of F writes the same value); the row of a
-    prime of degree i is its own ``symbols_batch`` vector.
+    prime of degree i is its own ``symbols_batch`` vector.  The tables hold
+    sum_{i <= 2n} q^i entries per curve; BudgetExceeded is raised before any
+    is allocated when the total exceeds DEFAULT_BUDGET.
     """
     if rows.shape[1] != 2 * n + 2:
         raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
+    entries = sum(field.q**i for i in range(2 * n + 1)) * rows.shape[0]
+    if entries > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"L-polynomial tables of {entries} entries exceed budget {DEFAULT_BUDGET}")
     tables = [np.ones((1, rows.shape[0]), dtype=np.int8)]  # degree 0: F = 1
     for i in range(1, 2 * n + 1):
         table = np.zeros((field.q**i, rows.shape[0]), dtype=np.int8)

@@ -9,14 +9,19 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   integrand *exactly* once the per-variable degree bound is met.  The result
   is authoritative up to float roundoff, not an approximation.
 
-* ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar eigenangles from the
+* ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar samples from the
   Killip-Nenciu tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1
-  independent Beta draws and one real n x n eigvalsh per sample.  Sampling
-  is blocked with per-block seeds derived from the root seed, and every
-  sampler draws a block through the same helper, so results are bit-for-bit
-  reproducible and independent of the worker count.  Quaternionic
-  Gram-Schmidt (``_haar_matrix_batch``) builds actual group elements; the
-  tests check the angle sampler against it at small n.
+  independent Beta draws give an n x n Jacobi matrix J whose eigenvalues
+  are the 2 cos 2 pi theta_k.  ``sample_haar_usp`` returns the angles from
+  one real eigvalsh per sample.  The Monte Carlo driver ``run_mc`` hands
+  statistics the trace columns tr(U^j) they read instead, with no
+  eigensolve: tr(U^j) = tr C_j(J) for the Chebyshev recursion
+  C_j = x C_{j-1} - C_{j-2}, read from banded powers of J.  Sampling is
+  blocked with per-block seeds derived from the root seed, and every
+  sampler draws a block through the same helper, so results are
+  bit-for-bit reproducible and independent of the worker count.  The
+  tests check the sampler against group elements built by quaternionic
+  Gram-Schmidt at small n.
 
 Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 [0, 1/2], throughout.
@@ -36,8 +41,9 @@ from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
 _MAX_GRID_POINTS = 4_000_000
-# cap on the dense Jacobi matrices of one eigvalsh call: one whole block up to n = 32
-_EIGH_BYTES = 32 << 20
+# cap on the dense Jacobi matrices of one eigvalsh call (a whole block up to
+# n = 32) and on one band array of the trace recursion
+_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -75,24 +81,8 @@ class MCConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-
-
-def trace_power(e: EigenAngles, j: int) -> float:
-    """tr(U^j) = sum_k 2 cos(2 pi j theta_k)."""
-    return math.fsum(2.0 * math.cos(2.0 * math.pi * j * t) for t in e.theta)
-
-
-def weyl_weight_usp(e: EigenAngles) -> float:
-    """Unnormalized eigenangle density of USp(2n):
-    prod_{p<r} (2cos 2pi theta_p - 2cos 2pi theta_r)^2 * prod_k (2 sin 2pi theta_k)^2."""
-    cosv = [2.0 * math.cos(2.0 * math.pi * t) for t in e.theta]
-    weight = 1.0
-    for p in range(len(cosv)):
-        for r in range(p + 1, len(cosv)):
-            weight *= (cosv[p] - cosv[r]) ** 2
-    for t in e.theta:
-        weight *= (2.0 * math.sin(2.0 * math.pi * t)) ** 2
-    return weight
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,36 +161,6 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
 # Monte Carlo sampling
 
 
-def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """`batch` Haar matrices from the unitary symplectic group, as (2n, 2n)
-    complex blocks with columns [v_1..v_n | Tv_1..Tv_n].
-
-    Quaternionic Gram-Schmidt: draw Gaussian columns c_k in C^{2n}, project
-    against the span of the previous columns and their quaternionic partners
-    T(c) = (-conj(w), conj(u)) for c = (u, w), and normalize by the (real,
-    positive) norm -- so the factorization is the unique quaternionic QR and
-    left invariance of the Gaussian law makes the result Haar.
-
-    Not used by the samplers below, which need only eigenangles; it is the
-    group-element reference the tests check them against.
-    """
-    two_n = 2 * n
-    cols = np.empty((batch, two_n, two_n), dtype=np.complex128)
-    for k in range(n):
-        c = rng.standard_normal((batch, two_n)) + 1j * rng.standard_normal((batch, two_n))
-        if k:
-            prev = cols[:, :, : 2 * k]
-            coef = np.matmul(prev.conj().transpose(0, 2, 1), c[:, :, None])
-            c = c - np.matmul(prev, coef)[:, :, 0]
-        c = c / np.linalg.norm(c, axis=1, keepdims=True)
-        cols[:, :, 2 * k] = c
-        cols[:, :, 2 * k + 1] = np.concatenate([-c[:, n:].conj(), c[:, :n].conj()], axis=1)
-    order = np.empty(two_n, dtype=int)
-    order[:n] = 2 * np.arange(n)
-    order[n:] = 2 * np.arange(n) + 1
-    return cols[:, :, order]
-
-
 def _jacobi_beta_params(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Beta parameters (s_k, t_k), k = 0..2n-2, of Killip-Nenciu's Theorem 2
     for beta = 2 and a = b = 1/2: alpha_k has density proportional to
@@ -213,8 +173,9 @@ def _jacobi_beta_params(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenangles (in turns, ascending) of `batch` Haar USp(2n) samples.
+def _jacobi_batch(n: int, batch: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (batch, n) and off-diagonals (batch, n-1) of `batch` Jacobi
+    matrices whose spectra are the x = 2 cos 2 pi theta of Haar USp(2n).
 
     Under x = 2 cos 2 pi theta the n fundamental angles of Haar USp(2n) form
     the beta = 2 Jacobi ensemble on [-2, 2] with weight (1 - x^2/4)^(1/2).
@@ -226,11 +187,11 @@ def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
         b_{k+1} = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
         a_{k+1} = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1})).
 
-    All draws come first, so the stream does not depend on how the
-    eigensolves are chunked.
+    All draws of a block come first, so the stream does not depend on how
+    the matrices are used afterwards.
     """
-    if n == 0:  # USp(0) is the trivial group: no angles
-        return np.empty((batch, 0))
+    if n == 0:  # USp(0) is the trivial group: empty matrices
+        return np.empty((batch, 0)), np.empty((batch, 0))
     s, t = _jacobi_beta_params(n)
     alpha = np.full((batch, 2 * n + 1), -1.0)  # column i holds alpha_{i-1}
     alpha[:, 1:-1] = 2.0 * rng.beta(t, s, size=(batch, 2 * n - 1)) - 1.0
@@ -241,9 +202,17 @@ def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     even_before[:, 1:] = even[:, :-1]
     diag = (1.0 - odd_before) * even - (1.0 + odd_before) * even_before
     off = np.sqrt((1.0 - odd_before) * (1.0 - even * even) * (1.0 + odd_after))[:, :-1]
+    return diag, off
 
+
+def _jacobi_angles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenangles (in turns, ascending) of Jacobi matrices, by a dense real
+    eigvalsh over chunks of at most _CHUNK_BYTES."""
+    batch, n = diag.shape
+    if n == 0:
+        return np.empty((batch, 0))
     x = np.empty((batch, n))
-    step = max(1, _EIGH_BYTES // (8 * n * n))
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
     idx = np.arange(n)
     for lo in range(0, batch, step):
         hi = min(lo + step, batch)
@@ -256,32 +225,83 @@ def _haar_angles_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     return np.arccos(np.clip(0.5 * x[:, ::-1], -1.0, 1.0)) / (2.0 * math.pi)
 
 
+def _band_traces(diag: np.ndarray, off: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
+    """tr(U^j) for each j in `indices` (sorted), with no eigensolve.
+
+    C_j(2 cos phi) = 2 cos(j phi), so tr(U^j) = tr C_j(J) for the Jacobi
+    matrix J, where C_0 = 2, C_1 = x and C_k = x C_{k-1} - C_{k-2}.  C_k(J)
+    is symmetric with bandwidth min(k, n-1) and is stored by its upper
+    diagonals, band[d, i, :] = C_k(J)[i, i+d] over the batch (zero past the
+    matrix), so a step of the recursion costs O(n k) per sample.  C_j C_k =
+    C_{j+k} + C_{|j-k|} turns traces of the high half into Frobenius
+    products of the low half:
+
+        tr C_{2k} = ||C_k||_F^2 - 2n,    tr C_{2k+1} = <C_k, C_{k+1}>_F - tr J,
+
+    so only C_0 .. C_{ceil(j_max/2)} are built.  The cost is O(n j_max^2)
+    per sample, below one dense eigensolve while j_max stays near n or
+    under.  Batches whose bands exceed _CHUNK_BYTES run in chunks.
+    """
+    batch, n = diag.shape
+    top = (indices[-1] + 1) // 2 if indices else 0
+    width = max(0, min(top, n - 1))
+    step = max(1, _CHUNK_BYTES // (8 * (width + 2) * max(n, 1)))
+    if batch > step:
+        chunks = [_band_traces(diag[lo : lo + step], off[lo : lo + step], indices) for lo in range(0, batch, step)]
+        return np.concatenate(chunks)
+    b = np.ascontiguousarray(diag.T)  # samples last: every shift below is a contiguous run
+    a = np.zeros((n, batch))  # a[i] = J[i, i+1]; the last is 0
+    a[: n - 1] = off.T
+    prev = np.zeros((width + 2, n, batch))  # the row past the bandwidth stays 0: shifts read it
+    prev[0] = 2.0
+    cur = np.zeros_like(prev)
+    cur[0] = b
+    cur[1] = a
+    trace_j = b.sum(axis=0)
+    columns = {j: column for column, j in enumerate(indices)}
+    out = np.empty((batch, len(indices)))
+    if 0 in columns:
+        out[:, columns[0]] = 2.0 * n
+    for k in range(1, top + 1):
+        rows = min(k, width) + 2  # C_k's diagonals and one zero row
+        if k > 1:
+            c, step = cur[:rows], prev[:rows]  # C_k = J C_{k-1} - C_{k-2}, in C_{k-2}'s place
+            np.negative(step, out=step)
+            step += b * c
+            step[:-1, 1:] += a[:-1] * c[1:, :-1]  # J[i, i-1] C[i-1, i+d]
+            step[1:, :-1] += a[:-1] * c[:-1, 1:]  # J[i, i+1] C[i+1, i+d], d >= 1
+            step[0, :-1] += a[:-1] * c[1, :-1]  # J[i, i+1] C[i+1, i], d = 0
+            prev, cur = cur, prev
+        if 2 * k - 1 in columns:
+            out[:, columns[2 * k - 1]] = _frobenius(prev[:rows], cur[:rows]) - trace_j
+        if 2 * k in columns:
+            out[:, columns[2 * k]] = _frobenius(cur[:rows], cur[:rows]) - 2.0 * n
+    return out
+
+
+def _frobenius(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<X, Y>_F per sample for symmetric X, Y stored by upper diagonals."""
+    return 2.0 * np.einsum("dib,dib->b", x, y) - np.einsum("ib,ib->b", x[0], y[0])
+
+
 def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
     """(block index, sample count) of each seed block, in order."""
     for index, start in enumerate(range(0, cfg.sample_count, MC_BLOCK_SIZE)):
         yield index, min(MC_BLOCK_SIZE, cfg.sample_count - start)
 
 
-def _block_angles(n: int, cfg: MCConfig, block_index: int, count: int) -> np.ndarray:
-    """The eigenangles of one seed block: the single draw every sampler uses."""
+def _block_jacobi(n: int, cfg: MCConfig, block_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobi matrices of one seed block: the single draw every sampler uses."""
     seed = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
-    return _haar_angles_batch(n, count, np.random.default_rng(seed))
-
-
-def trace_product_batch(theta: np.ndarray, items: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """prod_j tr(U^j)^{a_j} per sample for an angle batch (rows = samples)."""
-    out = np.ones(theta.shape[0])
-    for j, m in items:
-        tj = (2.0 * np.cos(2.0 * math.pi * j * theta)).sum(axis=1)
-        out = out * tj**m
-    return out
+    return _jacobi_batch(n, count, np.random.default_rng(seed))
 
 
 def _mc_block(args) -> tuple:
     """Worker: sample count, column means and centred sums of squares (M2)
     of the statistic columns over one block."""
     n, cfg, block_index, count, stat_fn, stat_args = args
-    values = stat_fn(_block_angles(n, cfg, block_index, count), *stat_args)  # (count, n_stats)
+    traces = _band_traces(*_block_jacobi(n, cfg, block_index, count), stat_args[0])
+    values = stat_fn(traces, *stat_args[1:])  # (count, n_stats)
     if values.ndim == 1:
         values = values[:, None]
     # per-column reductions: bit-identical whether columns are computed
@@ -307,16 +327,23 @@ def run_mc(
 ) -> list[tuple[float, float]]:
     """Blocked, seed-deterministic Monte Carlo driver.
 
-    ``stat_fn(theta, *stat_args)`` maps an angle batch to per-sample
-    statistic columns; returns (mean, stderr) per column.  Each block
-    reports (count, mean, M2) per column, and the blocks are merged in block
-    order by the pairwise update of Chan, Golub and LeVeque (1983), which
+    ``stat_args[0]`` is the sorted tuple of trace indices j that the
+    statistic reads; ``stat_fn(traces, *stat_args[1:])`` maps the (count,
+    len(stat_args[0])) array of tr(U^j) over a block (index 0 is the
+    constant 2n) to per-sample statistic columns.  Returns (mean, stderr)
+    per column.  Each block reports (count, mean, M2) per column, and the
+    blocks are merged in block order by the pairwise update of Chan, Golub and LeVeque (1983), which
     avoids the cancellation of sum(x^2) - N mean^2.  The block decomposition
     and the merge order are fixed, so the output is identical for every
     ``threads`` value.  ``cfg.n`` must equal ``n``.
     """
     if cfg.n != n:
         raise PreconditionViolated(f"MCConfig is for n = {cfg.n}, not n = {n}")
+    if not stat_args:
+        raise PreconditionViolated("stat_args must start with the tuple of trace indices")
+    indices = stat_args[0]
+    if list(indices) != sorted(set(indices)) or (indices and indices[0] < 0):
+        raise PreconditionViolated(f"trace indices {indices} are not sorted, distinct and non-negative")
     blocks = [(n, cfg, index, count, stat_fn, stat_args) for index, count in _blocks(cfg)]
     if threads > 1 and len(blocks) > 1:
         with get_context("fork").Pool(processes=threads) as pool:
@@ -344,8 +371,17 @@ def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[fl
     """Sample mean and standard error of prod_j tr(U^j)^{a_j} over Haar USp(2n)."""
     if not a and cfg.n == n:  # run_mc rejects a config for another n
         return (1.0, 0.0)
-    [(mean, stderr)] = run_mc(n, cfg, trace_product_batch, (a.items,), 1, threads)
+    exponents = tuple(m for _, m in a.items)
+    [(mean, stderr)] = run_mc(n, cfg, _trace_monomial, (a.support, exponents), 1, threads)
     return mean, stderr
+
+
+def _trace_monomial(traces: np.ndarray, exponents: tuple[int, ...]) -> np.ndarray:
+    """prod_j tr(U^j)^{a_j} per sample, from the columns of the support."""
+    out = np.ones(traces.shape[0])
+    for column, m in enumerate(exponents):
+        out = out * traces[:, column] ** m
+    return out
 
 
 def sample_haar_usp(cfg: MCConfig) -> Iterator[EigenAngles]:
@@ -355,5 +391,5 @@ def sample_haar_usp(cfg: MCConfig) -> Iterator[EigenAngles]:
     same stream and moment_mc is its plain sample mean.
     """
     for index, count in _blocks(cfg):
-        for row in _block_angles(cfg.n, cfg, index, count):
+        for row in _jacobi_angles(*_block_jacobi(cfg.n, cfg, index, count)):
             yield EigenAngles(tuple(float(t) for t in row))

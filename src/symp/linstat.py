@@ -113,6 +113,20 @@ def linear_statistic(f: FourierTestFn, nu: int, e: EigenAngles) -> float:
     )
 
 
+def _folded_weights(nu: int, f: FourierTestFn, number) -> dict[int, object]:
+    """The weights F_i of W = sum_i F_i tr(U^i), i >= 0, as `number`s.
+
+    W = sum over signed j of fhat(j) tr(U^(nu + j)), and tr(U^-i) = tr(U^i),
+    so the indices nu + s (s = +-j) fold onto |nu + s|:
+    F_i = sum_{s = +-j, |nu + s| = i} fhat(j).
+    """
+    folded: dict[int, object] = {}
+    for j, v in f.coefficients:
+        for s in {j, -j}:
+            folded[abs(nu + s)] = folded.get(abs(nu + s), 0) + number(v)
+    return folded
+
+
 def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     """E[W^m] via the trace-moment expansion; Fraction/int when f is rational,
     float otherwise (a float table is converted exactly and rounded once).
@@ -125,12 +139,7 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     m = nonnegative_int(m, "moment order m")
-    # fold the trace indices nu + s (s = +-j) onto |nu + s|: F_0 = fhat(nu)
-    # and F_j = fhat(j - nu) + fhat(j + nu), since tr(U^-j) = tr(U^j)
-    folded: dict[int, Fraction] = {}
-    for j, v in f.coefficients:
-        for s in {j, -j}:
-            folded[abs(nu + s)] = folded.get(abs(nu + s), 0) + Fraction(v)
+    folded = _folded_weights(nu, f, Fraction)
     widest = max((abs(nu + s) for j, v in f.coefficients if v != 0 for s in (j, -j)), default=0)
     if m * widest > 4 * n + 1:
         _raise_out_of_range(n, nu, m, f)
@@ -198,14 +207,9 @@ def moment_main_term(n: int, nu: int, a: Partition) -> int:
     return factor * nu ** (a.length // 2)
 
 
-def _w_power_stat(theta: np.ndarray, nu: int, coeff_items: tuple, ms: tuple[int, ...]) -> np.ndarray:
-    fvals = np.zeros_like(theta)
-    for j, v in coeff_items:
-        if j == 0:
-            fvals += v
-        else:
-            fvals += 2.0 * v * np.cos(2.0 * math.pi * j * theta)
-    w = (2.0 * fvals * np.cos(2.0 * math.pi * nu * theta)).sum(axis=1)
+def _w_power_stat(traces: np.ndarray, weights: tuple[float, ...], ms: tuple[int, ...]) -> np.ndarray:
+    """W^m per sample for each m, with W = sum_i F_i tr(U^i)."""
+    w = traces @ np.array(weights)
     return np.stack([w**m for m in ms], axis=1)
 
 
@@ -223,8 +227,10 @@ def statistic_moments_mc(
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     ms = tuple(nonnegative_int(m, "moment order m") for m in ms)
-    coeff_items = tuple((j, float(v)) for j, v in f.coefficients)
-    return run_mc(n, cfg, _w_power_stat, (nu, coeff_items, ms), len(ms), threads)
+    folded = sorted((i, v) for i, v in _folded_weights(nu, f, float).items() if v)
+    indices = tuple(i for i, _ in folded)
+    weights = tuple(v for _, v in folded)
+    return run_mc(n, cfg, _w_power_stat, (indices, weights, ms), len(ms), threads)
 
 
 def statistic_moment_mc(

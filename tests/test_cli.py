@@ -221,6 +221,20 @@ def test_oracle_negative_samples_exit(capsys):
     assert "--samples" in err
 
 
+def test_oracle_negative_seed_exit(capsys):
+    argv = ["oracle", "--n", "2", "--partition", "1^2", "--method", "mc", "--samples", "100", "--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and "--seed" in err
+
+
+def test_linstat_negative_seed_exit(capsys):
+    argv = ["linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--samples", "50", "--seed", "-3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and "--seed" in err
+
+
 def test_linstat_zero_samples_exit(capsys):
     code, out, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--samples", "0")
     assert code == EXIT_CONFIG

@@ -165,6 +165,10 @@ def test_budget_guard():
         squarefree_monics(F5, 40)
     with pytest.raises(BudgetExceeded):
         hyperelliptic_rows(F5, 20)
+    # the L-polynomial tables would hold (1 + 5 + ... + 5^4) * 130 000 =
+    # 101 530 000 int8 entries at q = 5, n = 2; refused before any table exists
+    with pytest.raises(BudgetExceeded, match="101530000 entries"):
+        l_polynomials_batch(F5, 2, np.zeros((130_000, 6), dtype=np.int64))
 
 
 def test_von_mangoldt():

@@ -4,20 +4,23 @@ import math
 import numpy as np
 import pytest
 
+from oracles import _haar_matrix_batch, trace_power, weyl_weight_usp
 from symp.errors import CostGuard, PreconditionViolated
+from symp import haar
 from symp.haar import (
     EigenAngles,
     MCConfig,
     QuadratureConfig,
+    _band_traces,
+    _block_jacobi,
+    _jacobi_angles,
+    _jacobi_batch,
     default_nodes,
     moment_mc,
     moment_quadrature,
     quadrature_nodes,
     run_mc,
     sample_haar_usp,
-    trace_power,
-    trace_product_batch,
-    weyl_weight_usp,
 )
 from symp.moments import moment_usp
 from symp.partitions import Partition, partitions_of_size_at_most
@@ -120,7 +123,7 @@ def test_config_for_another_n_is_rejected():
     with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
         moment_mc(1, Partition(), MCConfig(3, 1000, 0))  # the empty product too
     with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
-        run_mc(1, MCConfig(3, 1000, 0), _offset_stat, (0.0,), 1)
+        run_mc(1, MCConfig(3, 1000, 0), _offset_stat, ((1,), 0.0), 1)
     with pytest.raises(PreconditionViolated, match="n = 4, not n = 1"):
         moment_quadrature(1, a, QuadratureConfig(4, 5))
 
@@ -152,8 +155,6 @@ def test_sampler_unitarity_structure():
 
 
 def test_sampled_matrices_are_unitary_symplectic():
-    from symp.haar import _haar_matrix_batch
-
     rng = np.random.default_rng(2)
     q = _haar_matrix_batch(4, 16, rng)
     eye = np.eye(8)
@@ -177,12 +178,13 @@ def test_trivial_group_n0():
 
 
 def test_moment_mc_determinism_and_thread_invariance():
-    a = Partition({1: 2})
     cfg = MCConfig(2, 20_000, 99)
-    r1 = moment_mc(2, a, cfg, threads=1)
-    r2 = moment_mc(2, a, cfg, threads=1)
-    r3 = moment_mc(2, a, cfg, threads=2)
-    assert r1 == r2 == r3
+    for parts in ({1: 2}, {5: 2}):  # j within the bandwidth of J at n = 2, then beyond it
+        a = Partition(parts)
+        r1 = moment_mc(2, a, cfg, threads=1)
+        r2 = moment_mc(2, a, cfg, threads=1)
+        r3 = moment_mc(2, a, cfg, threads=2)
+        assert repr(r1) == repr(r2) == repr(r3)
 
 
 def test_moment_mc_against_exact_small():
@@ -206,35 +208,108 @@ def test_sampler_mean_traces():
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         MCConfig(2, 0, 1)
+    # numpy's SeedSequence dies on a negative seed; a float seed is a typo
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="rng_seed"):
+            MCConfig(2, 10, seed)
 
 
 def test_stream_and_engine_share_samples():
-    # moment_mc must be the plain sample mean over the public angle stream
+    # moment_mc must be the plain sample mean over the public angle stream,
+    # for traces within the bandwidth of J at n = 2 and beyond it
     cfg = MCConfig(2, 3_000, 77)
-    a = Partition({1: 2})
-    manual = [trace_power(e, 1) ** 2 for e in sample_haar_usp(cfg)]
-    est, _ = moment_mc(2, a, cfg)
-    assert est == pytest.approx(sum(manual) / len(manual), rel=1e-12)
+    for parts in ({1: 2}, {2: 1, 4: 1}, {3: 1, 5: 1}):
+        a = Partition(parts)
+        manual = [math.prod(trace_power(e, j) ** m for j, m in a.items) for e in sample_haar_usp(cfg)]
+        est, _ = moment_mc(2, a, cfg)
+        assert est == pytest.approx(sum(manual) / len(manual), rel=1e-12), parts
 
 
-def _offset_stat(theta, offset):
-    return offset + theta.sum(axis=1)
+def _cosine_traces(theta, indices):
+    """sum_k 2 cos(2 pi j theta_k) per sample for each j in `indices`."""
+    return np.stack([(2.0 * np.cos(2.0 * math.pi * j * theta)).sum(axis=1) for j in indices], axis=1)
+
+
+def test_band_route_equals_eigensolve():
+    # tr C_j(J) by the banded Chebyshev recursion against sum_k 2 cos(2 pi j
+    # theta_k) after the eigensolve, on the same Jacobi matrices, for every
+    # j <= 4n+1: within the bandwidth of J and past it
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 3, 5, 10, 30):
+        diag, off = _jacobi_batch(n, 64, rng)
+        indices = tuple(range(4 * n + 2))
+        band = _band_traces(diag, off, indices)
+        assert band.shape == (64, 4 * n + 2)
+        tolerance = 1e-10 * np.maximum(np.arange(4 * n + 2), 1)
+        assert (np.abs(band - _cosine_traces(_jacobi_angles(diag, off), indices)) <= tolerance).all(), n
+        # a sparse request computes the same columns
+        sparse = indices[1::3]
+        assert np.array_equal(_band_traces(diag, off, sparse), band[:, list(sparse)]), n
+
+
+def test_band_route_in_chunks(monkeypatch):
+    # a batch whose bands pass the byte cap runs in chunks, to the same columns
+    diag, off = _jacobi_batch(10, 100, np.random.default_rng(13))
+    whole = _band_traces(diag, off, (1, 4, 9, 20))
+    monkeypatch.setattr(haar, "_CHUNK_BYTES", 8 * 11 * 10 * 30)  # 30 samples per chunk: 9 + 2 diagonals, n = 10
+    assert np.array_equal(_band_traces(diag, off, (1, 4, 9, 20)), whole)
+
+
+# sample_haar_usp's angles (first, last, fsum) for n = 30 in one block and the
+# rest across a block boundary: the stream is a public contract, which the
+# split into draw and eigensolve kept byte for byte.  The eigvalsh bits vary
+# with the LAPACK build, so the values are compared within a tolerance.
+PINNED_ANGLES = {
+    (1, 5): (0.28091619788439987, 0.1890657168186699, 1249.5838824312964),
+    (1, 2024): (0.3054198473230359, 0.301397362044558, 1248.8711693449698),
+    (3, 5): (0.07144994015389433, 0.3550706127326581, 3751.5228235847712),
+    (3, 2024): (0.1108364073461793, 0.4064470834471949, 3744.7434397595653),
+    (7, 5): (0.039672022235378475, 0.46352570787824826, 8743.985810075766),
+    (7, 2024): (0.058688989020140754, 0.4894778810162426, 8747.955605402574),
+    (30, 5): (0.018119959797933977, 0.49440547794482176, 2247.608548398665),
+    (30, 2024): (0.0062127089998006094, 0.4857647533482814, 2248.9028469559444),
+}
+
+
+def test_sampler_stream_is_pinned():
+    for n, seed in [(0, 5), (0, 2024), *PINNED_ANGLES]:
+        count = 300 if n == 30 else 5_000
+        cfg = MCConfig(n, count, seed)
+        theta = np.array([e.theta for e in sample_haar_usp(cfg)], dtype=float).reshape(count, n)
+        blocks = [_jacobi_angles(*_block_jacobi(n, cfg, index, size)) for index, size in haar._blocks(cfg)]
+        assert np.array_equal(theta, np.concatenate(blocks)), (n, seed)
+        if n:
+            first, last, total = PINNED_ANGLES[n, seed]
+            assert theta[0, 0] == pytest.approx(first, abs=1e-12), (n, seed)
+            assert theta[-1, -1] == pytest.approx(last, abs=1e-12), (n, seed)
+            assert math.fsum(theta.ravel()) == pytest.approx(total, rel=1e-12), (n, seed)
+
+
+def _offset_stat(traces, offset):
+    return offset + traces[:, 0]  # the column of the first trace index
 
 
 def test_run_mc_variance_survives_large_offset():
     # ~1e8 + O(1) noise: sum(x^2) - N mean^2 loses every digit of the variance
     cfg = MCConfig(2, 3 * 4096 + 5, 41)
-    [(mean, stderr)] = run_mc(2, cfg, _offset_stat, (1e8,), 1)
-    values = np.array([1e8 + sum(e.theta) for e in sample_haar_usp(cfg)])
+    [(mean, stderr)] = run_mc(2, cfg, _offset_stat, ((1,), 1e8), 1)
+    values = np.array([1e8 + trace_power(e, 1) for e in sample_haar_usp(cfg)])
     assert mean == pytest.approx(values.mean(), rel=1e-12)
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-6)
+
+
+def test_run_mc_rejects_malformed_trace_indices():
+    # the trace columns are laid out in the order of stat_args[0]
+    for indices in ((2, 1), (1, 1), (-1, 2)):
+        with pytest.raises(PreconditionViolated, match="not sorted, distinct and non-negative"):
+            run_mc(1, MCConfig(1, 10, 0), _offset_stat, (indices, 0.0), 1)
+    with pytest.raises(PreconditionViolated, match="trace indices"):
+        run_mc(1, MCConfig(1, 10, 0), _offset_stat, (), 1)
 
 
 def _gram_schmidt_angles(n, count, rng):
     """Eigenangles of quaternionic Gram-Schmidt samples: the Hermitian part of
     a USp(2n) matrix has spectrum {cos 2 pi theta_k}, each value doubled."""
-    from symp.haar import _haar_matrix_batch
-
     q = _haar_matrix_batch(n, count, rng)
     cosines = np.linalg.eigvalsh(0.5 * (q + q.conj().transpose(0, 2, 1)))[:, ::2]
     return np.arccos(np.clip(cosines, -1.0, 1.0)) / (2.0 * math.pi)
@@ -245,9 +320,10 @@ def test_tridiagonal_sampler_matches_gram_schmidt():
     samples = 40_000
     for n in (1, 2, 3):
         theta = _gram_schmidt_angles(n, samples, np.random.default_rng(100 + n))
+        traces = {j: (2.0 * np.cos(2.0 * math.pi * j * theta)).sum(axis=1) for j in (1, 2, 3)}
         for parts in ({1: 2}, {2: 1}, {1: 4}, {1: 2, 2: 1}, {3: 2}):
             a = Partition(parts)
-            values = trace_product_batch(theta, a.items)
+            values = np.prod([traces[j] ** m for j, m in a.items], axis=0)
             gs_mean, gs_se = values.mean(), values.std(ddof=1) / math.sqrt(samples)
             est, se = moment_mc(n, a, MCConfig(n, samples, 200 + n))
             assert abs(est - gs_mean) <= 5 * math.hypot(se, gs_se), (n, parts, est, gs_mean)
@@ -316,9 +392,10 @@ class _TracePowers:
         return self._cache[j, m]
 
 
-def _monomial_stat(theta, items_list):
-    powers = _TracePowers(lambda j: (2.0 * np.cos(2.0 * math.pi * j * theta)).sum(axis=1))
-    columns = np.empty((len(items_list), theta.shape[0]))
+def _monomial_stat(traces, items_list):
+    """One column per items tuple; its (c, m) pairs name trace columns c."""
+    powers = _TracePowers(lambda c: traces[:, c])
+    columns = np.empty((len(items_list), traces.shape[0]))
     for c, items in enumerate(items_list):
         column = columns[c]
         column[:] = 1.0
@@ -341,7 +418,9 @@ def test_sampler_matches_every_moment_in_range():
         cfg = MCConfig(n, samples, 400 + n)
         for start in range(0, len(parts), 512):
             group = parts[start : start + 512]
-            estimates = run_mc(n, cfg, _monomial_stat, (tuple(a.items for a in group),), len(group), threads=2)
+            indices = tuple(sorted({j for a in group for j in a.support}))
+            items_list = tuple(tuple((indices.index(j), m) for j, m in a.items) for a in group)
+            estimates = run_mc(n, cfg, _monomial_stat, (indices, items_list), len(group), threads=2)
             for a, square, (est, _) in zip(group, squares[start : start + 512], estimates):
                 exact = moment_usp(n, a)
                 stderr = math.sqrt(max(square - exact * exact, 0.0) / samples)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import trace_power
 from symp.errors import OutOfRange, ParseError, PreconditionViolated
-from symp.haar import EigenAngles, MCConfig, moment_quadrature, sample_haar_usp, trace_power
+from symp.haar import EigenAngles, MCConfig, moment_quadrature, sample_haar_usp
 from symp.linstat import (
     FourierTestFn,
     l2_norm,
