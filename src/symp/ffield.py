@@ -12,11 +12,17 @@ Prime tables, the squarefree family and the L-polynomials' tables of
 (h/F) are sieves over base-q codes sum_i c_i q^i of monic polynomials (a
 code is the row index in ``monic_coeff_matrix``); (h/F) is completely
 multiplicative in F, so the row of P * G is (h/P) (h/G).  Every
-prime symbol (h/P) comes by one route: coefficient rows times the matrix
-of x^t mod P give residue codes, which index P's character table (itself
-built by reducing the squares of all residues through the same map); the
-family sums read two per-degree columns, sum_P (h/P) and #{P : P does not
-divide h}, from one loop over the primes of that degree.
+prime symbol (h/P) comes by one route, ``_degree_symbols``, which works on
+chunks of the primes of one degree: it builds every prime's matrix of
+x^t mod P at once, reduces the coefficient rows and the squares of all
+residues with one float64 product each (BLAS; exact integers while
+(deg h + 1)(q - 1)^2 < 2^53, checked), and reads each symbol from the
+chunk's character tables, marked in one flat int8 array, by residue code.
+A chunk holds as many primes as keep its residues within _CHUNK_BYTES, a
+constant, so memory does not grow with the number of primes; chunking
+changes no value.  ``symbols_batch`` and ``char_table`` are one-prime
+chunks of the same route.  The family sums read two per-degree columns,
+sum_P (h/P) and #{P : P does not divide h}, from the chunks' blocks.
 
 The family sums run over one curve per translation orbit.  h(x) -> h(x+v)
 permutes the primes of every degree, so it keeps every per-curve sum
@@ -54,6 +60,12 @@ Poly = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**8
 
+# bytes of float64 residues per chunk of primes in _degree_symbols (a chunk
+# holds at least one prime): bounds the working set whatever the number of
+# primes of the degree.  Chunks of 1 to 4 MiB ran the ffield benchmark ops
+# slower than 256 KiB and raise the peak memory.
+_CHUNK_BYTES = 1 << 18
+
 Mode = Literal["all_prime_powers", "prime_or_prime2"]
 
 
@@ -69,11 +81,12 @@ def _is_prime_int(m: int) -> bool:
 
 
 class PrimeField:
-    """F_q for an odd prime q, with cached prime tables and character tables."""
+    """F_q for an odd prime q, with cached prime tables and squares of residues."""
 
     def __init__(self, q: int):
-        if q < 3 or q % 2 == 0 or not _is_prime_int(q):
-            raise ValueError(f"q must be an odd prime, got {q}")
+        if not isinstance(q, (int, np.integer)) or q < 3 or q % 2 == 0 or not _is_prime_int(q):
+            raise ValueError(f"q must be an odd prime, got {q!r}")
+        q = int(q)
         self.q = q
         squares = {(v * v) % q for v in range(1, q)}
         self._chi = np.full(q, -1, dtype=np.int8)
@@ -81,7 +94,6 @@ class PrimeField:
             self._chi[v] = 1
         self._chi[0] = 0
         self._primes: dict[int, list[Poly]] = {}
-        self._char_tables: dict[Poly, np.ndarray] = {}
         self._residue_squares: dict[int, np.ndarray] = {}
 
     def chi(self, v: int) -> int:
@@ -222,6 +234,7 @@ def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGE
     of degree e <= degree/2 and G monic are marked composite, and the codes
     left unmarked are the primes.
     """
+    degree = nonnegative_int(degree, "degree")
     if degree not in field._primes:
         if field.q**degree > budget:
             raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
@@ -385,55 +398,101 @@ def _square_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
 
 
 def char_table(field: PrimeField, p: Poly) -> np.ndarray:
-    """Quadratic-character table of F_q[x]/(p) indexed by base-q residue code.
-
-    Built by squaring every residue at once (marking the square classes),
-    which avoids per-pair Euler exponentiation in the hot loops.
-    """
-    if p in field._char_tables:
-        return field._char_tables[p]
-    q, d = field.q, len(p) - 1
-    if d == 1:
-        table = field._chi.copy()
-    else:
-        # every prime of degree d reduces the same squares of all residues (cached;
-        # no budget check, the primes of degree d passed it)
-        if d not in field._residue_squares:
-            residues = _code_rows(field, np.arange(q**d), d)[:, :d]
-            field._residue_squares[d] = _square_rows(field, residues)
-        table = np.full(q**d, -1, dtype=np.int8)
-        table[_residue_codes(field, field._residue_squares[d], p)] = 1
-        table[0] = 0
-    field._char_tables[p] = table
-    return table
-
-
-def _reduction_matrix(field: PrimeField, p: Poly, deg_in: int) -> np.ndarray:
-    """Rows x^t mod p for t = 0..deg_in, as a (deg_in+1, deg p) matrix.
-
-    The monic recurrence: x^(t+1) mod p is x^t mod p shifted up one place,
-    minus its top coefficient times p's low coefficients.
-    """
-    d = len(p) - 1
-    low = np.array(p[:d], dtype=np.int64)
-    mat = np.zeros((deg_in + 1, d), dtype=np.int64)
-    mat[0, 0] = 1
-    for t in range(1, deg_in + 1):
-        mat[t, 1:] = mat[t - 1, :-1]
-        mat[t] = (mat[t] - mat[t - 1, -1] * low) % field.q
-    return mat
-
-
-def _residue_codes(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
-    """Base-q codes of every coefficient row reduced mod the monic p."""
-    q = field.q
-    residues = (rows @ _reduction_matrix(field, p, rows.shape[1] - 1)) % q
-    return residues @ (q ** np.arange(len(p) - 1, dtype=np.int64))
+    """Quadratic-character table of F_q[x]/(p) indexed by base-q residue code:
+    the symbols of all residues, as rows of degree < deg p, by a one-prime
+    ``_chunk_symbols`` call; p must be a monic prime (PreconditionViolated
+    otherwise)."""
+    primes = _one_prime(field, p)
+    d = primes.shape[1] - 1
+    return _chunk_symbols(field, _code_rows(field, np.arange(field.q**d), d)[:, :d], primes)[:, 0]
 
 
 def symbols_batch(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
-    """(h/p) for every coefficient row h, via residue codes and the char table."""
-    return char_table(field, p)[_residue_codes(field, rows, p)]
+    """(h/p) for every coefficient row h (entries in [0, q)): a one-prime
+    chunk of ``_chunk_symbols``; p must be a monic prime (PreconditionViolated
+    otherwise)."""
+    return _chunk_symbols(field, rows, _one_prime(field, p))[:, 0]
+
+
+def _one_prime(field: PrimeField, p: Poly) -> np.ndarray:
+    """p as a (1, deg p + 1) coefficient row, if it is one of ``primes_of_degree``."""
+    d = poly_degree(p)
+    if d < 1 or tuple(p) not in primes_of_degree(field, d):
+        raise PreconditionViolated(f"{tuple(p)} is not a monic prime of F_{field.q}[x]")
+    return np.array([p], dtype=np.int64)
+
+
+def _check_float_exact(q: int, terms: int) -> None:
+    """A float64 dot product of `terms` products of residues in [0, q) is an
+    exact integer, in any summation order, while terms (q-1)^2 < 2^53."""
+    if terms * (q - 1) ** 2 >= 2**53:
+        raise BudgetExceeded(f"q = {q}: {terms} (q-1)^2 >= 2^53, float64 residue products would not be exact")
+
+
+def _powers_mod(field: PrimeField, primes: np.ndarray, deg_in: int) -> np.ndarray:
+    """x^t mod P for t = 0..deg_in and every prime row P, as a float64
+    (deg_in+1, primes, deg P) array.
+
+    The monic recurrence, for all primes at once: x^(t+1) mod P is x^t mod P
+    shifted up one place, minus its top coefficient times P's low coefficients.
+    """
+    count, d = primes.shape[0], primes.shape[1] - 1
+    low = primes[:, :d]
+    mat = np.zeros((deg_in + 1, count, d), dtype=np.int64)
+    mat[0, :, 0] = 1
+    for t in range(1, deg_in + 1):
+        mat[t, :, 1:] = mat[t - 1, :, :-1]
+        mat[t] = (mat[t] - mat[t - 1, :, -1:] * low) % field.q
+    return mat.astype(np.float64)
+
+
+def _reduced_codes(field: PrimeField, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(rows, primes) base-q codes of every coefficient row reduced mod every
+    prime: one float64 product (exact, see ``_check_float_exact``)."""
+    q, d = field.q, powers.shape[2]
+    deg_in = rows.shape[1] - 1
+    flat = powers[: deg_in + 1].reshape(deg_in + 1, -1)
+    residues = (np.asarray(rows, dtype=np.float64) @ flat).astype(np.int64)
+    residues %= q
+    residues = residues.reshape(rows.shape[0], -1, d)
+    codes = residues[..., d - 1]
+    for i in range(d - 2, -1, -1):  # Horner: c_0 is the lowest base-q digit
+        codes = codes * q + residues[..., i]
+    return codes
+
+
+def _chunk_symbols(field: PrimeField, rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(rows, primes) int8 symbols (h/P) for a chunk of primes of one degree
+    d: reduce the rows mod every P, mark every P's character table, and read
+    each symbol from the tables at residue code + P's offset."""
+    q, d = field.q, primes.shape[1] - 1
+    deg_in = max(rows.shape[1] - 1, 2 * d - 2)
+    _check_float_exact(q, deg_in + 1)
+    powers = _powers_mod(field, primes, deg_in)
+    # every prime of degree d reduces the same squares of all residues (cached;
+    # no budget check, the primes of degree d passed it)
+    if d not in field._residue_squares:
+        residues = _code_rows(field, np.arange(q**d), d)[:, :d]
+        field._residue_squares[d] = _square_rows(field, residues).astype(np.float64)
+    # the chunk's character tables end to end in one flat array, P's at
+    # offset i q^d: 1 at the squares of all residues, 0 at the zero residue,
+    # -1 elsewhere
+    offsets = q**d * np.arange(primes.shape[0])
+    tables = np.full(offsets.size * q**d, -1, dtype=np.int8)
+    tables[_reduced_codes(field, field._residue_squares[d], powers) + offsets] = 1
+    tables[offsets] = 0
+    return tables.take(_reduced_codes(field, rows, powers) + offsets)
+
+
+def _degree_symbols(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -> Iterator[np.ndarray]:
+    """(h/P) for every row h and every prime P of the given degree, as int8
+    (rows, primes) blocks in ``primes_of_degree`` order.  A block holds as
+    many primes as keep its float64 residues within _CHUNK_BYTES."""
+    primes = np.array(primes_of_degree(field, degree, budget), dtype=np.int64)
+    per_prime = 8 * degree * max(rows.shape[0], field.q**degree)
+    step = max(1, _CHUNK_BYTES // per_prime)
+    for start in range(0, primes.shape[0], step):
+        yield _chunk_symbols(field, rows, primes[start : start + step])
 
 
 def _check_mode(mode: str) -> None:
@@ -456,10 +515,9 @@ def _prime_sums(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -
     """Two int64 columns over the primes P of the given degree, for every row
     h: sum_P (h/P), and #{P : P does not divide h}, which is sum_P (h/P)^2."""
     sums = np.zeros((2, rows.shape[0]), dtype=np.int64)
-    for p in primes_of_degree(field, degree, budget):
-        sym = symbols_batch(field, rows, p)
-        sums[0] += sym
-        sums[1] += sym != 0
+    for block in _degree_symbols(field, rows, degree, budget):
+        sums[0] += block.sum(axis=1, dtype=np.int64)
+        sums[1] += np.count_nonzero(block, axis=1)
     return sums
 
 
@@ -472,7 +530,7 @@ def weighted_char_sums(
     [P does not divide h] for even e.
     """
     acc = np.zeros(rows.shape[0], dtype=np.int64)
-    for e, d in _power_degrees(j, mode):
+    for e, d in _power_degrees(nonnegative_int(j, "j"), mode):
         odd, even = _prime_sums(field, rows, d, budget)
         acc += d * (odd if e % 2 else even)
     return acc
@@ -511,10 +569,11 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
     int8 table of (h/F) per degree, one row per code and one column per
     curve.  The symbol is completely multiplicative, so the row of P * G,
     with P prime of degree e <= i/2 and G monic, is (h/P) (h/G), written one
-    prime at a time (every split of F writes the same value); the row of a
-    prime of degree i is its own ``symbols_batch`` vector.  The tables hold
-    sum_{i <= 2n} q^i entries per curve; BudgetExceeded is raised before any
-    is allocated when the total exceeds DEFAULT_BUDGET.
+    prime at a time (every split of F writes the same value); the rows of
+    the primes of degree i come from that degree's ``_degree_symbols``
+    blocks.  The tables hold sum_{i <= 2n} q^i entries per curve;
+    BudgetExceeded is raised before any is allocated when the total exceeds
+    DEFAULT_BUDGET.
     """
     if rows.shape[1] != 2 * n + 2:
         raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
@@ -529,8 +588,11 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
             products = _product_codes(field, np.array(primes, dtype=np.int64), monic_coeff_matrix(field, i - e))
             for p, codes in zip(primes, products.reshape(len(primes), -1)):
                 table[codes] = tables[e][_code(field, p)] * tables[i - e]
-        for p in primes_of_degree(field, i):
-            table[_code(field, p)] = symbols_batch(field, rows, p)
+        codes = [_code(field, p) for p in primes_of_degree(field, i)]
+        start = 0
+        for block in _degree_symbols(field, rows, i, DEFAULT_BUDGET):
+            table[codes[start : start + block.shape[1]]] = block.T
+            start += block.shape[1]
         tables.append(table)
     return np.stack([table.sum(axis=0, dtype=np.int64) for table in tables], axis=1)
 

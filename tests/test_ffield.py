@@ -1,16 +1,23 @@
 import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symp import ffield
 from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from symp.ffield import (
+    DEFAULT_BUDGET,
+    _check_float_exact,
+    _chunk_symbols,
+    _degree_symbols,
     _distinct_prime_sums,
     _orbit_representatives,
+    _prime_sums,
     LPolynomial,
     PrimeField,
     char_sum_distinct_primes,
@@ -90,6 +97,9 @@ def test_prime_field_validation():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+    for q in (7.0, "7"):
+        with pytest.raises(ValueError, match="q must be an odd prime"):
+            PrimeField(q)
     assert PrimeField(7).chi(2) == 1  # 3^2 = 2 mod 7
     assert PrimeField(7).chi(0) == 0
 
@@ -234,6 +244,65 @@ def test_symbols_batch_matches_scalar():
             batch = symbols_batch(F3, rows, p)
             scalars = [legendre_symbol(F3, h, p) for h in polys]
             assert list(batch) == scalars
+
+
+@pytest.mark.parametrize("p", [(1, 0, 1), (1, 0, 3)], ids=["reducible", "not_monic"])
+def test_non_primes_are_rejected(p):
+    # over F_5, x^2 + 1 = (x + 2)(x + 3), and 3x^2 + 1 is not monic
+    with pytest.raises(PreconditionViolated, match="not a monic prime"):
+        symbols_batch(F5, hyperelliptic_rows(F5, 1), p)
+    with pytest.raises(PreconditionViolated, match="not a monic prime"):
+        char_table(F5, p)
+
+
+def test_one_prime_symbols_equal_the_degree_blocks():
+    for q in (5, 7):
+        field = PrimeField(q)
+        rows = hyperelliptic_rows(field, 1)
+        for d in (1, 2, 3):
+            block = np.hstack(list(_degree_symbols(field, rows, d, DEFAULT_BUDGET)))
+            primes = primes_of_degree(field, d)
+            assert block.dtype == np.int8 and block.shape == (rows.shape[0], len(primes))
+            for p, column in zip(primes, block.T):
+                assert np.array_equal(symbols_batch(field, rows, p), column)
+
+
+def chunk_bytes(field, rows, degree, primes):
+    """A _CHUNK_BYTES value at which a chunk of the given degree holds `primes` primes."""
+    return primes * 8 * degree * max(rows.shape[0], field.q**degree)
+
+
+@pytest.mark.parametrize("q,n", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2), (23, 1)])
+def test_chunking_leaves_every_value(monkeypatch, q, n):
+    field = PrimeField(q)
+    rows = _orbit_representatives(field, hyperelliptic_rows(field, n))[0]
+    degrees = range(1, max(2 * n, 2) + 1)
+
+    def values():
+        sums = [_prime_sums(field, rows, d, DEFAULT_BUDGET).tobytes() for d in degrees]
+        return sums, l_polynomials_batch(field, n, rows).tobytes()
+
+    default = values()
+    top = degrees[-1]
+    for primes in (1, 7):
+        # `primes` primes per chunk at the top degree, at least as many below it
+        monkeypatch.setattr(ffield, "_CHUNK_BYTES", chunk_bytes(field, rows, top, primes))
+        widths = [block.shape[1] for block in _degree_symbols(field, rows, top, DEFAULT_BUDGET)]
+        assert widths[:-1] == [primes] * (len(widths) - 1) and 1 <= widths[-1] <= primes
+        assert values() == default
+
+
+def test_float_product_exactness_bound():
+    # terms (q-1)^2 < 2^53 keeps every float64 residue product an exact integer
+    for terms in (2, 4, 6, 7):
+        largest = math.isqrt((2**53 - 1) // terms)
+        _check_float_exact(largest + 1, terms)
+        with pytest.raises(BudgetExceeded, match=f"q = {largest + 2}"):
+            _check_float_exact(largest + 2, terms)
+    # the symbol route checks it before allocating anything
+    big = SimpleNamespace(q=94_906_267)
+    with pytest.raises(BudgetExceeded, match="q = 94906267"):
+        _chunk_symbols(big, np.zeros((0, 4), dtype=np.int64), np.array([[0, 1]]))
 
 
 # --- L-polynomials ---------------------------------------------------------
@@ -400,6 +469,9 @@ def test_unknown_mode_is_rejected():
         (lambda: char_sum_distinct_primes(F5, -1, Partition({1: 1})), "n = -1 is negative"),
         (lambda: monic_coeff_matrix(F5, -1), "degree = -1 is negative"),
         (lambda: squarefree_monics(F5, -1), "degree = -1 is negative"),
+        (lambda: primes_of_degree(F5, -1), "degree = -1 is negative"),
+        (lambda: primes_of_degree(F5, 2.0), "degree = 2.0 is not an integer"),
+        (lambda: weighted_char_sums(F5, hyperelliptic_rows(F5, 1), -2, "all_prime_powers"), "j = -2 is negative"),
         (lambda: l_polynomials_batch(F5, 2, hyperelliptic_rows(F5, 1)), "rows of degree 3 for n = 2"),
     ],
     ids=[
@@ -409,6 +481,9 @@ def test_unknown_mode_is_rejected():
         "charsum_negative_n",
         "monics_negative_degree",
         "squarefree_negative_degree",
+        "primes_negative_degree",
+        "primes_fractional_degree",
+        "charsum_negative_j",
         "lpoly_rows_of_other_degree",
     ],
 )

@@ -61,6 +61,9 @@ def exercise(sym):
     ff.square_contribution(field, a)
     ff.is_irreducible(field, (1, 1))
     ff.is_squarefree(field, (0, 1))
+    prime = ff.primes_of_degree(field, 2)[0]
+    ff.char_table(field, prime)
+    ff.symbols_batch(field, ff.hyperelliptic_rows(field, 1), prime)
 
 
 def test_tracer_installs_counts_and_removes():
