@@ -7,7 +7,12 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   Chebyshev-second-kind weight sqrt(1-x^2) times the squared Vandermonde in
   the x_k, so Gauss nodes for that weight integrate the (polynomial)
   integrand *exactly* once the per-variable degree bound is met.  The result
-  is authoritative up to float roundoff, not an approximation.
+  is authoritative up to float roundoff, not an approximation.  The
+  integrand is symmetric in the n angles and vanishes where two nodes
+  coincide, so the rule sums over the C(N, n) strictly increasing node
+  tuples instead of the N^n grid.  The tuples and their normalised weights
+  are built once per (n, N) and kept in a small table; a call only forms
+  the trace sums of its parts.
 
 * ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar samples from the
   Killip-Nenciu tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1
@@ -29,14 +34,17 @@ Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import get_context
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CostGuard, PreconditionViolated
+from .moments import nonnegative_int
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
@@ -111,9 +119,13 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
 
     Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
     ``default_nodes`` bound; an explicit config for another n, or below the
-    margin-0 bound, raises PreconditionViolated.  Guarded to n <= 4 /
-    moderate grids.
+    margin-0 bound, raises PreconditionViolated, and so does an n that is
+    not a non-negative integer.  Guarded to n <= 4 and N^n grid points at
+    most 4 000 000 for N nodes per angle (CostGuard).  The sum runs over the
+    strictly increasing node tuples of ``_quadrature_grid``: sum_tuples
+    weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``.
     """
+    n = nonnegative_int(n, "n")
     if cfg is None:
         cfg = QuadratureConfig(n, default_nodes(n, a))
     elif cfg.n != n:
@@ -129,32 +141,37 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     if count**n > _MAX_GRID_POINTS:
         raise CostGuard(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
 
-    x, w = quadrature_nodes(count)
-    theta = np.arccos(x) / (2 * np.longdouble(math.pi))
-
-    def on_axis(vec: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * n
-        shape[axis] = count
-        return vec.reshape(shape)
-
-    weight = np.ones((1,) * n, dtype=np.longdouble)
-    for axis in range(n):
-        weight = weight * on_axis(w, axis)
-    vandermonde_sq = np.ones((1,) * n, dtype=np.longdouble)
-    for p in range(n):
-        for r in range(p + 1, n):
-            diff = 2 * on_axis(x, p) - 2 * on_axis(x, r)
-            vandermonde_sq = vandermonde_sq * diff * diff
-
-    integrand = weight * vandermonde_sq
-    denominator = integrand.sum()
+    tuples, angle, integrand = _quadrature_grid(n, count)
     for j, m in a.items:
-        tj = np.zeros((1,) * n, dtype=np.longdouble)
-        cos_j = 2 * np.cos(2 * np.longdouble(math.pi) * j * theta)
-        for axis in range(n):
-            tj = tj + on_axis(cos_j, axis)
-        integrand = integrand * tj**m
-    return float(integrand.sum() / denominator)
+        cos_j = 2 * np.cos(j * angle)
+        integrand = integrand * cos_j[tuples].sum(axis=1) ** m
+    return float(integrand.sum())
+
+
+@lru_cache(maxsize=32)
+def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss rule on the strictly increasing n-tuples of `count` nodes.
+
+    Returns the (C(count, n), n) array of node indices, the node angles
+    phi = arccos(x) = 2 pi theta and the weight prod_k w_k times the squared
+    Vandermonde prod_{p<r} (2x_p - 2x_r)^2 per tuple, scaled to sum 1.  The
+    integrand is symmetric in the angles and vanishes where two nodes
+    coincide, so the full tensor sum is n! times the sum over these tuples
+    and the n! cancels in the self-normalised ratio.  Keyed by (n, count)
+    alone; the arrays are read-only.
+    """
+    x, w = quadrature_nodes(count)
+    tuples = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(count), n)), dtype=np.intp
+    ).reshape(math.comb(count, n), n)  # n = 0: one empty tuple
+    weight = w[tuples].prod(axis=1)
+    for p, r in itertools.combinations(range(n), 2):
+        weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
+    weight /= weight.sum()
+    angle = np.arccos(x)
+    for array in (tuples, angle, weight):
+        array.flags.writeable = False
+    return tuples, angle, weight
 
 
 # ---------------------------------------------------------------------------

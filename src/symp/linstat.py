@@ -98,10 +98,6 @@ class FourierTestFn:
         return acc
 
 
-def l2_norm(f: FourierTestFn) -> float:
-    return math.sqrt(float(f.norm_sq()))
-
-
 def linear_statistic(f: FourierTestFn, nu: int, e: EigenAngles) -> float:
     """sum over all 2n eigenangles +-theta_k of f(theta) e(nu theta).
 
@@ -182,29 +178,6 @@ def statistic_moment_gaussian(n: int, nu: int, m: int, f: FourierTestFn) -> floa
     if even_indicator(m) == 0:
         return 0.0
     return double_factorial(m - 1) * float(f.norm_sq()) ** (m // 2) * float(abs(nu)) ** (m / 2)
-
-
-def moment_main_term(n: int, nu: int, a: Partition) -> int:
-    """Leading term of moment_usp(n, a) for partitions concentrated near nu:
-    (prod_j eta_{a_j} (a_j - 1)!!) * nu^(len(a)/2).
-
-    Requires n >= 0 and nu integers, size(a) <= 4n+1 and support within
-    |j - nu| <= sqrt(n).
-    """
-    n = nonnegative_int(n, "n")
-    nu = integer(nu, "nu")
-    if a.size > 4 * n + 1:
-        raise PreconditionViolated(f"size {a.size} > 4n+1 = {4 * n + 1}")
-    root = math.sqrt(n)
-    for j in a.support:
-        if abs(j - nu) > root:
-            raise PreconditionViolated(f"part {j} outside |j - {nu}| <= sqrt({n})")
-    factor = 1
-    for _, mult in a.items:
-        if mult % 2 == 1:
-            return 0
-        factor *= double_factorial(mult - 1)
-    return factor * nu ** (a.length // 2)
 
 
 def _w_power_stat(traces: np.ndarray, weights: tuple[float, ...], ms: tuple[int, ...]) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Test-only references for the Haar oracles in ``symp.haar``.
+"""Test-only references for ``symp.haar`` and ``symp.linstat``.
 
-The library samples eigenangles from the Killip-Nenciu Jacobi model and
-reads traces through the Chebyshev recursion; these are the independent
-references the tests check it against: group elements by quaternionic
-Gram-Schmidt, the Weyl eigenangle density and traces from angles.
+The library samples eigenangles from the Killip-Nenciu Jacobi model, reads
+traces through the Chebyshev recursion and sums its Gauss rule over
+increasing node tuples; these are the independent references the tests
+check it against: group elements by quaternionic Gram-Schmidt, the Weyl
+eigenangle density, traces from angles and the full tensor-grid Gauss rule.
+The linear-statistic helpers at the end serve only tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import math
 
 import numpy as np
 
-from symp.haar import EigenAngles
+from symp.errors import CostGuard, PreconditionViolated
+from symp.haar import _MAX_GRID_POINTS, EigenAngles, QuadratureConfig, default_nodes, quadrature_nodes
+from symp.linstat import FourierTestFn
+from symp.moments import double_factorial, integer, nonnegative_int
+from symp.partitions import Partition
 
 
 def trace_power(e: EigenAngles, j: int) -> float:
@@ -62,3 +68,84 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     order[n:] = 2 * np.arange(n) + 1
     return cols[:, :, order]
 
+
+def moment_quadrature_full_grid(n: int, a: Partition, cfg: QuadratureConfig | None = None) -> float:
+    """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n), summed
+    over the full count^n tensor grid.
+
+    ``symp.haar.moment_quadrature`` sums the same rule over the strictly
+    increasing node tuples only; this is the reference it is checked against.
+
+    Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
+    ``default_nodes`` bound; an explicit config for another n, or below the
+    margin-0 bound, raises PreconditionViolated.  Guarded to n <= 4 /
+    moderate grids.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig(n, default_nodes(n, a))
+    elif cfg.n != n:
+        raise PreconditionViolated(f"QuadratureConfig is for n = {cfg.n}, not n = {n}")
+    elif cfg.nodes_per_dim < default_nodes(n, a, margin=0):
+        raise PreconditionViolated(
+            f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
+            f" the fewest that integrate {a.format()} exactly at n = {n}"
+        )
+    count = cfg.nodes_per_dim
+    if n > 4:
+        raise CostGuard(f"quadrature limited to n <= 4, got n = {n}")
+    if count**n > _MAX_GRID_POINTS:
+        raise CostGuard(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
+
+    x, w = quadrature_nodes(count)
+    theta = np.arccos(x) / (2 * np.longdouble(math.pi))
+
+    def on_axis(vec: np.ndarray, axis: int) -> np.ndarray:
+        shape = [1] * n
+        shape[axis] = count
+        return vec.reshape(shape)
+
+    weight = np.ones((1,) * n, dtype=np.longdouble)
+    for axis in range(n):
+        weight = weight * on_axis(w, axis)
+    vandermonde_sq = np.ones((1,) * n, dtype=np.longdouble)
+    for p in range(n):
+        for r in range(p + 1, n):
+            diff = 2 * on_axis(x, p) - 2 * on_axis(x, r)
+            vandermonde_sq = vandermonde_sq * diff * diff
+
+    integrand = weight * vandermonde_sq
+    denominator = integrand.sum()
+    for j, m in a.items:
+        tj = np.zeros((1,) * n, dtype=np.longdouble)
+        cos_j = 2 * np.cos(2 * np.longdouble(math.pi) * j * theta)
+        for axis in range(n):
+            tj = tj + on_axis(cos_j, axis)
+        integrand = integrand * tj**m
+    return float(integrand.sum() / denominator)
+
+
+def l2_norm(f: FourierTestFn) -> float:
+    return math.sqrt(float(f.norm_sq()))
+
+
+def moment_main_term(n: int, nu: int, a: Partition) -> int:
+    """Leading term of moment_usp(n, a) for partitions concentrated near nu:
+    (prod_j eta_{a_j} (a_j - 1)!!) * nu^(len(a)/2).
+
+    Requires n >= 0 and nu integers, size(a) <= 4n+1 and support within
+    |j - nu| <= sqrt(n).
+    """
+    n = nonnegative_int(n, "n")
+    nu = integer(nu, "nu")
+    if a.size > 4 * n + 1:
+        raise PreconditionViolated(f"size {a.size} > 4n+1 = {4 * n + 1}")
+    root = math.sqrt(n)
+    for j in a.support:
+        if abs(j - nu) > root:
+            raise PreconditionViolated(f"part {j} outside |j - {nu}| <= sqrt({n})")
+    factor = 1
+    for _, mult in a.items:
+        if mult % 2 == 1:
+            return 0
+        factor *= double_factorial(mult - 1)
+    return factor * nu ** (a.length // 2)

@@ -1,10 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import _haar_matrix_batch, trace_power, weyl_weight_usp
+from oracles import _haar_matrix_batch, moment_quadrature_full_grid, trace_power, weyl_weight_usp
 from symp.errors import CostGuard, PreconditionViolated
 from symp import haar
 from symp.haar import (
@@ -99,9 +98,59 @@ def test_weyl_weight_consistent_with_quadrature():
 
 
 def test_quadrature_matches_exact_formula():
-    for n in (1, 2):
+    # n = 0 sums over the one empty node tuple; n = 4 is 1 212 partitions
+    for n in range(5):
         for a in partitions_of_size_at_most(4 * n + 1):
             assert moment_quadrature(n, a) == pytest.approx(moment_usp(n, a), abs=1e-8)
+
+
+_N4_PARTITIONS = [
+    Partition.parse(text)
+    for text in (
+        "",
+        "1^2",
+        "1^8",
+        "2^4",
+        "1^16",
+        "1^17",
+        "4^4",
+        "8^2",
+        "16^1",
+        "17^1",
+        "3^5",
+        "1^3 2^1 3^1",
+        "1^1 2^1 3^1 4^1 5^1",
+    )
+]
+
+
+def test_tuple_rule_matches_full_grid():
+    # the sum over increasing node tuples against the full count^n tensor
+    # grid, at the default node count and at 7 more
+    cases = [(n, a) for n in (1, 2, 3) for a in partitions_of_size_at_most(4 * n + 1)]
+    cases += [(4, a) for a in _N4_PARTITIONS]
+    for n, a in cases:
+        for extra in (0, 7):
+            cfg = QuadratureConfig(n, default_nodes(n, a) + extra)
+            reference = moment_quadrature_full_grid(n, a, cfg)
+            value = moment_quadrature(n, a, cfg)
+            assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (n, a.format(), extra)
+
+
+@pytest.mark.parametrize(
+    "n,cfg,fault",
+    [
+        (-1, None, "n = -1 is negative"),
+        (1.5, None, "n = 1.5 is not an integer"),
+        (-1, QuadratureConfig(-1, 3), "n = -1 is negative"),
+    ],
+    ids=["negative", "fractional", "negative_with_config"],
+)
+def test_quadrature_rejects_bad_n(n, cfg, fault):
+    # n is checked before the config: a negative n must not read as the
+    # value 0.0, nor a fractional one end in a TypeError
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_quadrature(n, Partition({1: 2}), cfg)
 
 
 def test_quadrature_rejects_too_few_nodes():
@@ -359,16 +408,11 @@ def test_angle_cdf_matches_weyl_density():
 
 def _squared_moments_by_quadrature(n, parts, count):
     """E[X^2] for X = prod_j tr(U^j)^{a_j}, every partition in `parts`, by the
-    tensor Gauss rule of ``moment_quadrature`` with `count` nodes per angle.
-    The integrand is symmetric and vanishes where two nodes coincide, so the
-    sum runs over strictly increasing node tuples."""
-    x, w = (v.astype(float) for v in quadrature_nodes(count))
-    angle = np.arccos(x)
-    tuples = np.array(list(itertools.combinations(range(count), n)))
-    weight = w[tuples].prod(axis=1)
-    for p, r in itertools.combinations(range(n), 2):
-        weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
-    weight /= weight.sum()
+    Gauss rule of ``moment_quadrature`` over its increasing node tuples, with
+    `count` nodes per angle, in float64 (n = 5 is past the quadrature's own
+    n <= 4 guard)."""
+    tuples, angle, weight = haar._quadrature_grid(n, count)
+    angle, weight = angle.astype(float), weight.astype(float)
     powers = _TracePowers(lambda j: (2 * np.cos(j * angle[tuples])).sum(axis=1))
     out = []
     for a in parts:

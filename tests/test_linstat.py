@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import trace_power
+from oracles import l2_norm, moment_main_term, trace_power
 from symp.errors import OutOfRange, ParseError, PreconditionViolated
 from symp.haar import EigenAngles, MCConfig, moment_quadrature, sample_haar_usp
 from symp.linstat import (
     FourierTestFn,
-    l2_norm,
     linear_statistic,
-    moment_main_term,
     statistic_moment_exact,
     statistic_moment_gaussian,
     statistic_moment_mc,
