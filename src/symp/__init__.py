@@ -19,8 +19,8 @@ from .moments import (
     nongaussian_correction,
     pairing_weight_sum,
 )
-from .haar import EigenAngles, MCConfig, QuadratureConfig, moment_mc, moment_quadrature, sample_haar_usp
-from .linstat import FourierTestFn, linear_statistic, statistic_moment_exact, statistic_moment_gaussian
+from .haar import MCConfig, QuadratureConfig, moment_mc, moment_quadrature
+from .linstat import FourierTestFn, statistic_moment_exact, statistic_moment_gaussian
 from .ffield import PrimeField, empirical_moment, l_polynomial
 
 __version__ = "0.1.0"
@@ -38,14 +38,11 @@ __all__ = [
     "moment_so_gaussian",
     "moment_u_gaussian",
     "pairing_weight_sum",
-    "EigenAngles",
     "MCConfig",
     "QuadratureConfig",
     "moment_quadrature",
     "moment_mc",
-    "sample_haar_usp",
     "FourierTestFn",
-    "linear_statistic",
     "statistic_moment_exact",
     "statistic_moment_gaussian",
     "PrimeField",

@@ -45,7 +45,6 @@ The main consumers:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Literal, Sequence, get_args
@@ -86,19 +85,9 @@ class PrimeField:
     def __init__(self, q: int):
         if not isinstance(q, (int, np.integer)) or q < 3 or q % 2 == 0 or not _is_prime_int(q):
             raise ValueError(f"q must be an odd prime, got {q!r}")
-        q = int(q)
-        self.q = q
-        squares = {(v * v) % q for v in range(1, q)}
-        self._chi = np.full(q, -1, dtype=np.int8)
-        for v in squares:
-            self._chi[v] = 1
-        self._chi[0] = 0
+        self.q = int(q)
         self._primes: dict[int, list[Poly]] = {}
         self._residue_squares: dict[int, np.ndarray] = {}
-
-    def chi(self, v: int) -> int:
-        """Quadratic character of F_q (0 at 0)."""
-        return int(self._chi[v % self.q])
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
@@ -177,13 +166,6 @@ def poly_deriv(field: PrimeField, f: Poly) -> Poly:
     return poly_trim([(i * f[i]) % field.q for i in range(1, len(f))])
 
 
-def poly_eval(field: PrimeField, f: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % field.q
-    return acc
-
-
 def poly_pow_mod(field: PrimeField, base: Poly, exponent: int, modulus: Poly) -> Poly:
     result: Poly = (1,)
     base = poly_mod(field, base, modulus)
@@ -221,14 +203,9 @@ def is_irreducible(field: PrimeField, f: Poly) -> bool:
     return True
 
 
-def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
-    """All monic polynomials of the given degree, lexicographic in low coeffs."""
-    for low in itertools.product(range(field.q), repeat=degree):
-        yield low + (1,)
-
-
 def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
-    """Monic irreducibles of the given degree, in ``monic_polys`` order (cached).
+    """Monic irreducibles of the given degree, ordered with c_{degree-1}
+    varying fastest, then c_{degree-2}, ..., c_0 slowest (cached).
 
     A sieve over base-q codes: the codes of every product P * G with P prime
     of degree e <= degree/2 and G monic are marked composite, and the codes
@@ -249,72 +226,6 @@ def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGE
     return field._primes[degree]
 
 
-def factorize(field: PrimeField, f: Poly) -> tuple[tuple[Poly, int], ...]:
-    """Factorization of a monic polynomial into (prime, exponent) pairs."""
-    if not poly_is_monic(f):
-        raise ValueError("factorize expects a monic polynomial")
-    factors: dict[Poly, int] = {}
-    rest = f
-    while poly_degree(rest) > 0:
-        deg = poly_degree(rest)
-        hit = None
-        for d in range(1, deg // 2 + 1):
-            for p in primes_of_degree(field, d):
-                quot, rem = poly_divmod(field, rest, p)
-                if not rem:
-                    hit = (p, quot)
-                    break
-            if hit:
-                break
-        if hit is None:
-            factors[rest] = factors.get(rest, 0) + 1
-            break
-        p, rest = hit
-        factors[p] = factors.get(p, 0) + 1
-    return tuple(sorted(factors.items()))
-
-
-def von_mangoldt(field: PrimeField, f: Poly) -> int:
-    """deg P if f = P^e for a prime P, else 0."""
-    if poly_degree(f) < 1:
-        return 0
-    factors = factorize(field, f)
-    if len(factors) == 1:
-        return poly_degree(factors[0][0])
-    return 0
-
-
-def legendre_symbol(field: PrimeField, h: Poly, p: Poly) -> int:
-    """Quadratic-residue symbol of h modulo a prime p, by Euler's criterion."""
-    d = poly_degree(p)
-    r = poly_mod(field, h, p)
-    if not r:
-        return 0
-    if d == 1:
-        return field.chi(r[0])
-    t = poly_pow_mod(field, r, (field.q**d - 1) // 2, p)
-    return 1 if t == (1,) else -1
-
-
-def jacobi_symbol(field: PrimeField, h: Poly, f: Poly) -> int:
-    """Jacobi symbol (h/f): product of prime symbols over the factorization."""
-    if not poly_is_monic(f):
-        raise ValueError("jacobi_symbol expects a monic denominator")
-    result = 1
-    for p, e in factorize(field, f):
-        s = legendre_symbol(field, h, p)
-        if s == 0:
-            return 0
-        if e % 2 == 1:
-            result *= s
-    return result
-
-
-def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
-    """All squarefree monic polynomials of the given degree, in ``monic_polys`` order."""
-    return _monic_polys_where(field, degree, _squarefree_codes(field, degree, budget))
-
-
 # ---------------------------------------------------------------------------
 # vectorized character-sum layer
 
@@ -325,10 +236,6 @@ def monic_coeff_matrix(field: PrimeField, degree: int, budget: int = DEFAULT_BUD
     if count > budget:
         raise BudgetExceeded(f"q^{degree} = {count} exceeds budget {budget}")
     return _code_rows(field, np.arange(count), degree)
-
-
-def rows_to_polys(rows: np.ndarray) -> list[Poly]:
-    return [poly_trim(tuple(int(v) for v in row)) for row in rows]
 
 
 def _code_rows(field: PrimeField, codes: np.ndarray, degree: int) -> np.ndarray:
@@ -365,10 +272,11 @@ def _product_codes(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 
 def _monic_polys_where(field: PrimeField, degree: int, keep: np.ndarray) -> list[Poly]:
-    """The monic polynomials whose codes `keep` marks, in ``monic_polys`` order.
+    """The monic polynomials whose codes `keep` marks, with c_{degree-1}
+    varying fastest and c_0 slowest.
 
-    ``monic_polys`` varies c_{degree-1} fastest, the code varies c_0 fastest:
-    reversing the axes of the code grid maps one order onto the other.
+    The code varies c_0 fastest: reversing the axes of the code grid maps one
+    order onto the other.
     """
     q = field.q
     order = np.arange(q**degree).reshape((q,) * degree).T.ravel()

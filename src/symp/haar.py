@@ -14,19 +14,17 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   are built once per (n, N) and kept in a small table; a call only forms
   the trace sums of its parts.
 
-* ``moment_mc`` / ``sample_haar_usp`` -- i.i.d. Haar samples from the
-  Killip-Nenciu tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1
-  independent Beta draws give an n x n Jacobi matrix J whose eigenvalues
-  are the 2 cos 2 pi theta_k.  ``sample_haar_usp`` returns the angles from
-  one real eigvalsh per sample.  The Monte Carlo driver ``run_mc`` hands
-  statistics the trace columns tr(U^j) they read instead, with no
+* ``moment_mc`` / ``run_mc`` -- i.i.d. Haar samples from the Killip-Nenciu
+  tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1 independent Beta
+  draws give an n x n Jacobi matrix J whose eigenvalues are the
+  2 cos 2 pi theta_k.  Statistics read the trace columns tr(U^j) with no
   eigensolve: tr(U^j) = tr C_j(J) for the Chebyshev recursion
   C_j = x C_{j-1} - C_{j-2}, read from banded powers of J.  Sampling is
-  blocked with per-block seeds derived from the root seed, and every
-  sampler draws a block through the same helper, so results are
-  bit-for-bit reproducible and independent of the worker count.  The
-  tests check the sampler against group elements built by quaternionic
-  Gram-Schmidt at small n.
+  blocked with per-block seeds derived from the root seed, and every block
+  is drawn by the same helper, so results are bit-for-bit reproducible and
+  independent of the worker count.  The tests check the sampler against
+  group elements built by quaternionic Gram-Schmidt at small n, and against
+  the angles of a dense eigensolve of the same Jacobi matrices.
 
 Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 [0, 1/2], throughout.
@@ -49,29 +47,8 @@ from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
 _MAX_GRID_POINTS = 4_000_000
-# cap on the dense Jacobi matrices of one eigvalsh call (a whole block up to
-# n = 32) and on one band array of the trace recursion
+# cap on one band array of the trace recursion
 _CHUNK_BYTES = 32 << 20
-
-
-@dataclass(frozen=True)
-class EigenAngles:
-    """Fundamental eigenangles of a USp(2n) matrix, in turns, ascending."""
-
-    theta: tuple[float, ...]
-
-    def __post_init__(self):
-        last = 0.0
-        for t in self.theta:
-            if not 0.0 <= t <= 0.5:
-                raise ValueError(f"angle {t} outside [0, 1/2]")
-            if t < last:
-                raise ValueError("angles must be ascending")
-            last = t
-
-    @property
-    def n(self) -> int:
-        return len(self.theta)
 
 
 @dataclass(frozen=True)
@@ -222,26 +199,6 @@ def _jacobi_batch(n: int, batch: int, rng: np.random.Generator) -> tuple[np.ndar
     return diag, off
 
 
-def _jacobi_angles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenangles (in turns, ascending) of Jacobi matrices, by a dense real
-    eigvalsh over chunks of at most _CHUNK_BYTES."""
-    batch, n = diag.shape
-    if n == 0:
-        return np.empty((batch, 0))
-    x = np.empty((batch, n))
-    step = max(1, _CHUNK_BYTES // (8 * n * n))
-    idx = np.arange(n)
-    for lo in range(0, batch, step):
-        hi = min(lo + step, batch)
-        jacobi = np.zeros((hi - lo, n, n))
-        jacobi[:, idx, idx] = diag[lo:hi]
-        jacobi[:, idx[:-1], idx[1:]] = off[lo:hi]
-        jacobi[:, idx[1:], idx[:-1]] = off[lo:hi]
-        x[lo:hi] = np.linalg.eigvalsh(jacobi)
-    # x ascending gives theta descending; reverse to ascending angles
-    return np.arccos(np.clip(0.5 * x[:, ::-1], -1.0, 1.0)) / (2.0 * math.pi)
-
-
 def _band_traces(diag: np.ndarray, off: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     """tr(U^j) for each j in `indices` (sorted), with no eigensolve.
 
@@ -308,7 +265,7 @@ def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
 
 
 def _block_jacobi(n: int, cfg: MCConfig, block_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobi matrices of one seed block: the single draw every sampler uses."""
+    """The Jacobi matrices of one seed block: the one draw behind every Monte Carlo run."""
     seed = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
     return _jacobi_batch(n, count, np.random.default_rng(seed))
 
@@ -400,13 +357,3 @@ def _trace_monomial(traces: np.ndarray, exponents: tuple[int, ...]) -> np.ndarra
         out = out * traces[:, column] ** m
     return out
 
-
-def sample_haar_usp(cfg: MCConfig) -> Iterator[EigenAngles]:
-    """Stream of cfg.sample_count i.i.d. Haar USp(2n) eigenangle sets.
-
-    Draws the same blocks as run_mc, so a given (seed, n) always yields the
-    same stream and moment_mc is its plain sample mean.
-    """
-    for index, count in _blocks(cfg):
-        for row in _jacobi_angles(*_block_jacobi(cfg.n, cfg, index, count)):
-            yield EigenAngles(tuple(float(t) for t in row))

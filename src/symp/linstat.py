@@ -1,8 +1,9 @@
 """Narrow-bandwidth linear statistics of USp(2n) eigenangles.
 
-The statistic sum_k f(theta_k) e(nu theta_k) over all 2n eigenangles (f even,
-real, given by a finite Fourier table) has moments expressible exactly through
-trace moments:
+The statistic W = sum_k f(theta_k) e(nu theta_k) over all 2n eigenangles (f
+even, real, given by a finite Fourier table) is a finite sum of traces,
+W = sum_j fhat(j) tr(U^(nu + j)), so its moments are expressible exactly
+through trace moments:
 
     E[W^m] = sum_{j_1..j_m} fhat(j_1-nu) ... fhat(j_m-nu) E[prod tr(U^{j_i})]
 
@@ -13,20 +14,23 @@ integers by their common denominator, to :func:`symp.moments.moment_usp_sum`,
 the dynamic programme behind ``moment_usp``; with states (parts placed,
 size c, size d) it sums the whole expansion at once instead of one moment per
 multi-index.  Rational tables give exact results; float tables are converted
-exactly and the result is rounded once.
+exactly and the result is rounded once.  ``statistic_moments_mc`` forms W
+per sample from the same folded weights and the Monte Carlo trace columns
+of :func:`symp.haar.run_mc`.
 """
 
 from __future__ import annotations
 
-import itertools
+import itertools  # unused here: bench/tracer.py swaps linstat.itertools for a counting stand-in
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError, PreconditionViolated
-from .haar import EigenAngles, MCConfig, run_mc
+from .errors import OutOfRange, ParseError
+from .haar import MCConfig, run_mc
 from .moments import double_factorial, even_indicator, integer, moment_usp_sum, nonnegative_int
 from .partitions import Partition
 
@@ -90,24 +94,6 @@ class FourierTestFn:
             total += v * v if j == 0 else 2 * v * v
         return total
 
-    def evaluate(self, theta: float) -> float:
-        acc = 0.0
-        for j, v in self.coefficients:
-            term = float(v)
-            acc += term if j == 0 else 2.0 * term * math.cos(2.0 * math.pi * j * theta)
-        return acc
-
-
-def linear_statistic(f: FourierTestFn, nu: int, e: EigenAngles) -> float:
-    """sum over all 2n eigenangles +-theta_k of f(theta) e(nu theta).
-
-    Real because f is even and the angles come in conjugate pairs; computed
-    in the folded form sum_k 2 f(theta_k) cos(2 pi nu theta_k).
-    """
-    return math.fsum(
-        2.0 * f.evaluate(t) * math.cos(2.0 * math.pi * nu * t) for t in e.theta
-    )
-
 
 def _folded_weights(nu: int, f: FourierTestFn, number) -> dict[int, object]:
     """The weights F_i of W = sum_i F_i tr(U^i), i >= 0, as `number`s.
@@ -149,21 +135,23 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
 
 
 def _raise_out_of_range(n: int, nu: int, m: int, f: FourierTestFn) -> None:
-    """Raise OutOfRange for the first multi-index, in enumeration order,
-    whose partition exceeds 4n+1."""
-    signed_support = sorted({j for j, _ in f.coefficients} | {-j for j, _ in f.coefficients})
-    for multiset in itertools.combinations_with_replacement([nu + s for s in signed_support], m):
-        if any(f.value(idx - nu) == 0 for idx in multiset):
-            continue
-        parts: dict[int, int] = {}
-        for idx in multiset:
-            if idx:
-                parts[abs(idx)] = parts.get(abs(idx), 0) + 1
-        a = Partition(parts)
-        if a.size > 4 * n + 1:
-            raise OutOfRange(
-                f"multi-index {multiset} needs partition {a} of size {a.size} > 4n+1 = {4 * n + 1}"
-            )
+    """Raise OutOfRange for the first multi-index, in the order of
+    ``itertools.combinations_with_replacement`` over the ascending indices
+    nu + s (s = +-j, fhat(j) != 0), whose partition exceeds 4n+1.
+
+    That order is lexicographic, so the first one is built greedily: each
+    position takes the smallest index v, not below the previous one, that
+    leaves size + |v| + (positions left) max(|v|, |largest index|) > 4n+1.
+    """
+    pool = sorted({nu + s for j, v in f.coefficients if v != 0 for s in (j, -j)})
+    multiset, size = [], 0
+    for left in range(m - 1, -1, -1):
+        start = pool.index(multiset[-1]) if multiset else 0
+        v = next(v for v in pool[start:] if size + abs(v) + left * max(abs(v), abs(pool[-1])) > 4 * n + 1)
+        multiset.append(v)
+        size += abs(v)
+    a = Partition(Counter(abs(idx) for idx in multiset if idx))
+    raise OutOfRange(f"multi-index {tuple(multiset)} needs partition {a} of size {a.size} > 4n+1 = {4 * n + 1}")
 
 
 def statistic_moment_gaussian(n: int, nu: int, m: int, f: FourierTestFn) -> float:

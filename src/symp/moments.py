@@ -312,12 +312,6 @@ class Pairing:
     pairs: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     fixed: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def pair_count(self, j: int) -> int:
-        for part, ps in self.pairs:
-            if part == j:
-                return len(ps)
-        return 0
-
     def weight(self) -> int:
         """prod_j j^(number of pairs at j)."""
         result = 1

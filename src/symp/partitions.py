@@ -44,18 +44,8 @@ class Partition:
         self._size = size
 
     @property
-    def parts(self) -> dict[int, int]:
-        return dict(self._items)
-
-    @property
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._items
-
-    def multiplicity(self, j: int) -> int:
-        for part, mult in self._items:
-            if part == j:
-                return mult
-        return 0
 
     @property
     def length(self) -> int:
@@ -131,7 +121,7 @@ def sub_partitions(a: Partition) -> Iterator[Partition]:
     """All b <= a, exactly prod_j (a_j + 1) of them, in lexicographic order
     of the multiplicity vector (ordered by part size, then multiplicity)."""
     support = a.support
-    ranges = [range(a.multiplicity(j) + 1) for j in support]
+    ranges = [range(m + 1) for _, m in a.items]
     for mults in itertools.product(*ranges):
         yield Partition({j: m for j, m in zip(support, mults) if m})
 

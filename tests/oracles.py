@@ -1,40 +1,83 @@
-"""Test-only references for ``symp.haar`` and ``symp.linstat``.
+"""Test-only references for ``symp.haar``, ``symp.linstat`` and ``symp.ffield``.
 
-The library samples eigenangles from the Killip-Nenciu Jacobi model, reads
+The library samples Jacobi matrices from the Killip-Nenciu model, reads
 traces through the Chebyshev recursion and sums its Gauss rule over
 increasing node tuples; these are the independent references the tests
-check it against: group elements by quaternionic Gram-Schmidt, the Weyl
-eigenangle density, traces from angles and the full tensor-grid Gauss rule.
-The linear-statistic helpers at the end serve only tests.
+check it against: eigenangles by a dense eigensolve of the same Jacobi
+matrices, group elements by quaternionic Gram-Schmidt, the Weyl eigenangle
+density, traces from angles, the linear statistic from its definition and
+the full tensor-grid Gauss rule.  Angles are in turns, one ascending tuple
+per sample.
+
+The F_q helpers at the end work one polynomial at a time (factorization,
+Euler's criterion, the von Mangoldt function) where the library works by
+sieves over whole tables; the tests check the tables against them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
+from symp import haar
 from symp.errors import CostGuard, PreconditionViolated
-from symp.haar import _MAX_GRID_POINTS, EigenAngles, QuadratureConfig, default_nodes, quadrature_nodes
+from symp.ffield import (
+    DEFAULT_BUDGET,
+    Poly,
+    PrimeField,
+    _monic_polys_where,
+    _squarefree_codes,
+    poly_degree,
+    poly_divmod,
+    poly_is_monic,
+    poly_mod,
+    poly_pow_mod,
+    poly_trim,
+    primes_of_degree,
+)
+from symp.haar import _MAX_GRID_POINTS, MCConfig, QuadratureConfig, default_nodes, quadrature_nodes
 from symp.linstat import FourierTestFn
 from symp.moments import double_factorial, integer, nonnegative_int
 from symp.partitions import Partition
 
 
-def trace_power(e: EigenAngles, j: int) -> float:
+def jacobi_angles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenangles (in turns, ascending) of Jacobi matrices, by a dense real eigvalsh."""
+    batch, n = diag.shape
+    idx = np.arange(n)
+    jacobi = np.zeros((batch, n, n))
+    jacobi[:, idx, idx] = diag
+    jacobi[:, idx[:-1], idx[1:]] = jacobi[:, idx[1:], idx[:-1]] = off
+    x = np.linalg.eigvalsh(jacobi) if n else np.empty((batch, 0))
+    # x ascending gives theta descending; reverse to ascending angles
+    return np.arccos(np.clip(0.5 * x[:, ::-1], -1.0, 1.0)) / (2.0 * math.pi)
+
+
+def angle_stream(cfg: MCConfig) -> Iterator[tuple[float, ...]]:
+    """The cfg.sample_count eigenangle tuples of the samples ``symp.haar.run_mc``
+    draws for cfg, in order: the same seed blocks, each solved densely."""
+    for index, count in haar._blocks(cfg):
+        for row in jacobi_angles(*haar._block_jacobi(cfg.n, cfg, index, count)):
+            yield tuple(float(t) for t in row)
+
+
+def trace_power(theta: tuple[float, ...], j: int) -> float:
     """tr(U^j) = sum_k 2 cos(2 pi j theta_k)."""
-    return math.fsum(2.0 * math.cos(2.0 * math.pi * j * t) for t in e.theta)
+    return math.fsum(2.0 * math.cos(2.0 * math.pi * j * t) for t in theta)
 
 
-def weyl_weight_usp(e: EigenAngles) -> float:
+def weyl_weight_usp(theta: tuple[float, ...]) -> float:
     """Unnormalized eigenangle density of USp(2n):
     prod_{p<r} (2cos 2pi theta_p - 2cos 2pi theta_r)^2 * prod_k (2 sin 2pi theta_k)^2."""
-    cosv = [2.0 * math.cos(2.0 * math.pi * t) for t in e.theta]
+    cosv = [2.0 * math.cos(2.0 * math.pi * t) for t in theta]
     weight = 1.0
     for p in range(len(cosv)):
         for r in range(p + 1, len(cosv)):
             weight *= (cosv[p] - cosv[r]) ** 2
-    for t in e.theta:
+    for t in theta:
         weight *= (2.0 * math.sin(2.0 * math.pi * t)) ** 2
     return weight
 
@@ -49,8 +92,8 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     positive) norm -- so the factorization is the unique quaternionic QR and
     left invariance of the Gaussian law makes the result Haar.
 
-    The samplers in ``symp.haar`` need only eigenangles and never build
-    group elements; this is the reference the tests check them against.
+    The sampler in ``symp.haar`` needs only Jacobi matrices and never
+    builds group elements; this is the reference the tests check it against.
     """
     two_n = 2 * n
     cols = np.empty((batch, two_n, two_n), dtype=np.complex128)
@@ -124,6 +167,24 @@ def moment_quadrature_full_grid(n: int, a: Partition, cfg: QuadratureConfig | No
     return float(integrand.sum() / denominator)
 
 
+def fourier_value(f: FourierTestFn, theta: float) -> float:
+    """f(theta) = sum over signed j of fhat(j) e(j theta), in float."""
+    acc = 0.0
+    for j, v in f.coefficients:
+        term = float(v)
+        acc += term if j == 0 else 2.0 * term * math.cos(2.0 * math.pi * j * theta)
+    return acc
+
+
+def linear_statistic(f: FourierTestFn, nu: int, theta: tuple[float, ...]) -> float:
+    """W = sum over all 2n eigenangles +-theta_k of f(theta) e(nu theta).
+
+    Real because f is even and the angles come in conjugate pairs; computed
+    in the folded form sum_k 2 f(theta_k) cos(2 pi nu theta_k).
+    """
+    return math.fsum(2.0 * fourier_value(f, t) * math.cos(2.0 * math.pi * nu * t) for t in theta)
+
+
 def l2_norm(f: FourierTestFn) -> float:
     return math.sqrt(float(f.norm_sq()))
 
@@ -149,3 +210,97 @@ def moment_main_term(n: int, nu: int, a: Partition) -> int:
             return 0
         factor *= double_factorial(mult - 1)
     return factor * nu ** (a.length // 2)
+
+
+# ---------------------------------------------------------------------------
+# F_q[x], one polynomial at a time
+
+
+def chi(field: PrimeField, v: int) -> int:
+    """Quadratic character of F_q (0 at 0), by Euler's criterion."""
+    r = pow(v % field.q, (field.q - 1) // 2, field.q)
+    return -1 if r == field.q - 1 else r
+
+
+def poly_eval(field: PrimeField, f: Poly, x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % field.q
+    return acc
+
+
+def monic_polys(field: PrimeField, degree: int) -> Iterator[Poly]:
+    """All monic polynomials of the given degree, lexicographic in low coeffs."""
+    for low in itertools.product(range(field.q), repeat=degree):
+        yield low + (1,)
+
+
+def factorize(field: PrimeField, f: Poly) -> tuple[tuple[Poly, int], ...]:
+    """Factorization of a monic polynomial into (prime, exponent) pairs."""
+    if not poly_is_monic(f):
+        raise ValueError("factorize expects a monic polynomial")
+    factors: dict[Poly, int] = {}
+    rest = f
+    while poly_degree(rest) > 0:
+        deg = poly_degree(rest)
+        hit = None
+        for d in range(1, deg // 2 + 1):
+            for p in primes_of_degree(field, d):
+                quot, rem = poly_divmod(field, rest, p)
+                if not rem:
+                    hit = (p, quot)
+                    break
+            if hit:
+                break
+        if hit is None:
+            factors[rest] = factors.get(rest, 0) + 1
+            break
+        p, rest = hit
+        factors[p] = factors.get(p, 0) + 1
+    return tuple(sorted(factors.items()))
+
+
+def von_mangoldt(field: PrimeField, f: Poly) -> int:
+    """deg P if f = P^e for a prime P, else 0."""
+    if poly_degree(f) < 1:
+        return 0
+    factors = factorize(field, f)
+    if len(factors) == 1:
+        return poly_degree(factors[0][0])
+    return 0
+
+
+def legendre_symbol(field: PrimeField, h: Poly, p: Poly) -> int:
+    """Quadratic-residue symbol of h modulo a prime p, by Euler's criterion."""
+    d = poly_degree(p)
+    r = poly_mod(field, h, p)
+    if not r:
+        return 0
+    if d == 1:
+        return chi(field, r[0])
+    t = poly_pow_mod(field, r, (field.q**d - 1) // 2, p)
+    return 1 if t == (1,) else -1
+
+
+def jacobi_symbol(field: PrimeField, h: Poly, f: Poly) -> int:
+    """Jacobi symbol (h/f): product of prime symbols over the factorization."""
+    if not poly_is_monic(f):
+        raise ValueError("jacobi_symbol expects a monic denominator")
+    result = 1
+    for p, e in factorize(field, f):
+        s = legendre_symbol(field, h, p)
+        if s == 0:
+            return 0
+        if e % 2 == 1:
+            result *= s
+    return result
+
+
+def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
+    """All squarefree monic polynomials of the given degree, c_{degree-1}
+    varying fastest (the ``monic_polys`` order)."""
+    return _monic_polys_where(field, degree, _squarefree_codes(field, degree, budget))
+
+
+def rows_to_polys(rows: np.ndarray) -> list[Poly]:
+    return [poly_trim(tuple(int(v) for v in row)) for row in rows]

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from symp.cli import COLUMNS, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OUT_OF_RANGE, main
 
@@ -193,6 +197,20 @@ def test_linstat_negative_m_exit(capsys):
     code, _, err = run_cli(capsys, "linstat", "--n", "3", "--nu", "3", "--m", "-1", "--f", "0:1")
     assert code == EXIT_CONFIG
     assert "--m" in err
+
+
+def test_linstat_out_of_range_exits_fast():
+    # m = 60 over 11 indices: the first offending multi-index is built
+    # directly, not found by walking the C(70, 60) multisets before it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["linstat", "--n", "100", "--nu", "5", "--m", "60", "--f", "0:1 1:1 2:1 3:1 4:1 5:1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "symp.cli", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert done.returncode == EXIT_OUT_OF_RANGE, done.stderr
+    assert done.stdout == ""
+    assert "needs partition 2^1 10^40 of size 402 > 4n+1 = 401" in done.stderr
 
 
 def test_linstat_negative_nu_main_term(capsys):

@@ -8,6 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    chi,
+    factorize,
+    jacobi_symbol,
+    legendre_symbol,
+    monic_polys,
+    poly_eval,
+    rows_to_polys,
+    squarefree_monics,
+    von_mangoldt,
+)
 from symp import ffield
 from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from symp.ffield import (
@@ -24,27 +35,19 @@ from symp.ffield import (
     char_sum_distinct_primes_weighted,
     char_table,
     empirical_moment,
-    factorize,
     frobenius_power_sums,
     hyperelliptic_rows,
     is_irreducible,
     is_squarefree,
-    jacobi_symbol,
     l_polynomial,
     l_polynomials_batch,
-    legendre_symbol,
     monic_coeff_matrix,
-    monic_polys,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mul,
     primes_of_degree,
-    rows_to_polys,
     square_contribution,
-    squarefree_monics,
     symbols_batch,
-    von_mangoldt,
     weighted_char_sums,
 )
 from symp.moments import gaussian_moment, moment_usp
@@ -100,8 +103,8 @@ def test_prime_field_validation():
     for q in (7.0, "7"):
         with pytest.raises(ValueError, match="q must be an odd prime"):
             PrimeField(q)
-    assert PrimeField(7).chi(2) == 1  # 3^2 = 2 mod 7
-    assert PrimeField(7).chi(0) == 0
+    assert chi(PrimeField(7), 2) == 1  # 3^2 = 2 mod 7
+    assert chi(PrimeField(7), 0) == 0
 
 
 def test_poly_basics():
@@ -687,7 +690,7 @@ def resultant_symbol(field, h, p):
     """(h/P) for a monic prime P as chi(Res(P, h)): Res(P, h) is the norm of
     h(alpha) for a root alpha of P, and Euler's criterion in F_{q^deg P}
     reduces to the one in F_q."""
-    return field.chi(resultant(field, p, h))
+    return chi(field, resultant(field, p, h))
 
 
 def test_resultant_symbol_matches_legendre():

@@ -3,46 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from oracles import _haar_matrix_batch, moment_quadrature_full_grid, trace_power, weyl_weight_usp
+from oracles import _haar_matrix_batch, angle_stream, jacobi_angles, moment_quadrature_full_grid
+from oracles import trace_power, weyl_weight_usp
 from symp.errors import CostGuard, PreconditionViolated
 from symp import haar
 from symp.haar import (
-    EigenAngles,
     MCConfig,
     QuadratureConfig,
     _band_traces,
-    _block_jacobi,
-    _jacobi_angles,
     _jacobi_batch,
     default_nodes,
     moment_mc,
     moment_quadrature,
     quadrature_nodes,
     run_mc,
-    sample_haar_usp,
 )
 from symp.moments import moment_usp
 from symp.partitions import Partition, partitions_of_size_at_most
 
 
-def test_eigenangles_validation():
-    EigenAngles((0.1, 0.2, 0.5))
-    with pytest.raises(ValueError):
-        EigenAngles((0.6,))
-    with pytest.raises(ValueError):
-        EigenAngles((0.3, 0.1))
-
-
 def test_trace_power_examples():
-    assert trace_power(EigenAngles((0.0,)), 5) == pytest.approx(2.0)
-    assert trace_power(EigenAngles((0.25,)), 2) == pytest.approx(-2.0)
-    assert trace_power(EigenAngles((0.5,)), 1) == pytest.approx(-2.0)
+    assert trace_power((0.0,), 5) == pytest.approx(2.0)
+    assert trace_power((0.25,), 2) == pytest.approx(-2.0)
+    assert trace_power((0.5,), 1) == pytest.approx(-2.0)
 
 
 def test_weyl_weight_examples():
-    assert weyl_weight_usp(EigenAngles((0.25,))) == pytest.approx(4.0)
-    assert weyl_weight_usp(EigenAngles((0.0,))) == pytest.approx(0.0)
-    assert weyl_weight_usp(EigenAngles((0.2, 0.2))) == pytest.approx(0.0)
+    assert weyl_weight_usp((0.25,)) == pytest.approx(4.0)
+    assert weyl_weight_usp((0.0,)) == pytest.approx(0.0)
+    assert weyl_weight_usp((0.2, 0.2)) == pytest.approx(0.0)
 
 
 def test_quadrature_nodes_integrate_weight():
@@ -86,12 +75,12 @@ def test_weyl_weight_consistent_with_quadrature():
     import numpy as np
 
     grid = np.linspace(0.0, 0.5, 20_001)
-    weight = np.array([weyl_weight_usp(EigenAngles((t,))) for t in grid])
+    weight = np.array([weyl_weight_usp((t,)) for t in grid])
     for parts, expect in [({1: 2}, 1.0), ({1: 4}, 2.0), ({2: 1}, -1.0)]:
         a = Partition(parts)
         values = np.ones_like(grid)
         for j, m in a.items:
-            values = values * np.array([trace_power(EigenAngles((t,)), j) for t in grid]) ** m
+            values = values * np.array([trace_power((t,), j) for t in grid]) ** m
         trapezoid = np.trapezoid(values * weight, grid) / np.trapezoid(weight, grid)
         assert trapezoid == pytest.approx(expect, abs=1e-6)
         assert trapezoid == pytest.approx(moment_quadrature(1, a), abs=1e-6)
@@ -186,21 +175,21 @@ def test_cost_guard():
 
 def test_sampler_stream_properties():
     cfg = MCConfig(3, 25, 123)
-    angles = list(sample_haar_usp(cfg))
+    angles = list(angle_stream(cfg))
     assert len(angles) == 25
-    for e in angles:
-        assert e.n == 3
-        assert all(0.0 <= t <= 0.5 for t in e.theta)
+    for theta in angles:
+        assert len(theta) == 3
+        assert all(0.0 <= t <= 0.5 for t in theta)
+        assert list(theta) == sorted(theta)
     # same seed, same stream
-    again = list(sample_haar_usp(cfg))
-    assert [e.theta for e in again] == [e.theta for e in angles]
+    assert list(angle_stream(cfg)) == angles
 
 
 def test_sampler_unitarity_structure():
     # trace powers computed from sampled angles stay within [-2n, 2n]
-    for e in sample_haar_usp(MCConfig(4, 10, 5)):
+    for theta in angle_stream(MCConfig(4, 10, 5)):
         for j in (1, 2, 5):
-            assert abs(trace_power(e, j)) <= 8.0 + 1e-9
+            assert abs(trace_power(theta, j)) <= 8.0 + 1e-9
 
 
 def test_sampled_matrices_are_unitary_symplectic():
@@ -222,7 +211,7 @@ def test_moment_mc_empty():
 
 
 def test_trivial_group_n0():
-    assert [e.theta for e in sample_haar_usp(MCConfig(0, 3, 1))] == [()] * 3
+    assert list(angle_stream(MCConfig(0, 3, 1))) == [()] * 3
     assert moment_mc(0, Partition({1: 1}), MCConfig(0, 10, 1)) == (0.0, 0.0)
 
 
@@ -264,12 +253,12 @@ def test_mc_config_validation():
 
 
 def test_stream_and_engine_share_samples():
-    # moment_mc must be the plain sample mean over the public angle stream,
-    # for traces within the bandwidth of J at n = 2 and beyond it
+    # moment_mc must be the plain sample mean over the angles of its own
+    # draws, for traces within the bandwidth of J at n = 2 and beyond it
     cfg = MCConfig(2, 3_000, 77)
     for parts in ({1: 2}, {2: 1, 4: 1}, {3: 1, 5: 1}):
         a = Partition(parts)
-        manual = [math.prod(trace_power(e, j) ** m for j, m in a.items) for e in sample_haar_usp(cfg)]
+        manual = [math.prod(trace_power(theta, j) ** m for j, m in a.items) for theta in angle_stream(cfg)]
         est, _ = moment_mc(2, a, cfg)
         assert est == pytest.approx(sum(manual) / len(manual), rel=1e-12), parts
 
@@ -290,7 +279,7 @@ def test_band_route_equals_eigensolve():
         band = _band_traces(diag, off, indices)
         assert band.shape == (64, 4 * n + 2)
         tolerance = 1e-10 * np.maximum(np.arange(4 * n + 2), 1)
-        assert (np.abs(band - _cosine_traces(_jacobi_angles(diag, off), indices)) <= tolerance).all(), n
+        assert (np.abs(band - _cosine_traces(jacobi_angles(diag, off), indices)) <= tolerance).all(), n
         # a sparse request computes the same columns
         sparse = indices[1::3]
         assert np.array_equal(_band_traces(diag, off, sparse), band[:, list(sparse)]), n
@@ -304,10 +293,10 @@ def test_band_route_in_chunks(monkeypatch):
     assert np.array_equal(_band_traces(diag, off, (1, 4, 9, 20)), whole)
 
 
-# sample_haar_usp's angles (first, last, fsum) for n = 30 in one block and the
-# rest across a block boundary: the stream is a public contract, which the
-# split into draw and eigensolve kept byte for byte.  The eigvalsh bits vary
-# with the LAPACK build, so the values are compared within a tolerance.
+# The angles (first, last, fsum) of the Monte Carlo draws, for n = 30 in one
+# block and the rest across a block boundary: they pin the Beta draws and the
+# seed blocks of every run.  The eigvalsh bits vary with the LAPACK build, so
+# the values are compared within a tolerance.
 PINNED_ANGLES = {
     (1, 5): (0.28091619788439987, 0.1890657168186699, 1249.5838824312964),
     (1, 2024): (0.3054198473230359, 0.301397362044558, 1248.8711693449698),
@@ -324,9 +313,7 @@ def test_sampler_stream_is_pinned():
     for n, seed in [(0, 5), (0, 2024), *PINNED_ANGLES]:
         count = 300 if n == 30 else 5_000
         cfg = MCConfig(n, count, seed)
-        theta = np.array([e.theta for e in sample_haar_usp(cfg)], dtype=float).reshape(count, n)
-        blocks = [_jacobi_angles(*_block_jacobi(n, cfg, index, size)) for index, size in haar._blocks(cfg)]
-        assert np.array_equal(theta, np.concatenate(blocks)), (n, seed)
+        theta = np.array(list(angle_stream(cfg)), dtype=float).reshape(count, n)
         if n:
             first, last, total = PINNED_ANGLES[n, seed]
             assert theta[0, 0] == pytest.approx(first, abs=1e-12), (n, seed)
@@ -342,7 +329,7 @@ def test_run_mc_variance_survives_large_offset():
     # ~1e8 + O(1) noise: sum(x^2) - N mean^2 loses every digit of the variance
     cfg = MCConfig(2, 3 * 4096 + 5, 41)
     [(mean, stderr)] = run_mc(2, cfg, _offset_stat, ((1,), 1e8), 1)
-    values = np.array([1e8 + trace_power(e, 1) for e in sample_haar_usp(cfg)])
+    values = np.array([1e8 + trace_power(theta, 1) for theta in angle_stream(cfg)])
     assert mean == pytest.approx(values.mean(), rel=1e-12)
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-6)
 
@@ -390,14 +377,14 @@ def test_angle_cdf_matches_weyl_density():
     samples = 20_000
     bound = 1.95 / math.sqrt(samples)
     grid = np.linspace(0.0, 0.5, 401)
-    one = np.array([weyl_weight_usp(EigenAngles((t,))) for t in grid])
+    one = np.array([weyl_weight_usp((t,)) for t in grid])
     ordered = np.zeros((grid.size, grid.size))  # density of (theta_1 < theta_2)
     for i, t in enumerate(grid):
         for k in range(i + 1, grid.size):
-            ordered[i, k] = weyl_weight_usp(EigenAngles((t, grid[k])))
+            ordered[i, k] = weyl_weight_usp((t, grid[k]))
     marginals = {1: [one], 2: [np.trapezoid(ordered, grid, axis=1), np.trapezoid(ordered, grid, axis=0)]}
     for n, densities in marginals.items():
-        theta = np.array([e.theta for e in sample_haar_usp(MCConfig(n, samples, 300 + n))])
+        theta = np.array(list(angle_stream(MCConfig(n, samples, 300 + n))))
         for k, density in enumerate(densities):
             drawn = np.sort(theta[:, k])
             cdf = np.interp(drawn, grid, _cdf_on_grid(density, grid))

@@ -1,16 +1,15 @@
-import cmath
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oracles import l2_norm, moment_main_term, trace_power
+from oracles import angle_stream, l2_norm, linear_statistic, moment_main_term
 from symp.errors import OutOfRange, ParseError, PreconditionViolated
-from symp.haar import EigenAngles, MCConfig, moment_quadrature, sample_haar_usp
+from symp.haar import MCConfig, moment_quadrature
 from symp.linstat import (
     FourierTestFn,
-    linear_statistic,
     statistic_moment_exact,
     statistic_moment_gaussian,
     statistic_moment_mc,
@@ -39,27 +38,6 @@ def test_l2_norm():
     assert l2_norm(F0) == 1.0
     assert l2_norm(FourierTestFn.parse("1:0.5")) == pytest.approx(1 / math.sqrt(2))
     assert float(FH.norm_sq()) == pytest.approx(1.5)
-
-
-def test_linear_statistic_examples():
-    e = EigenAngles((0.1, 0.3))
-    assert linear_statistic(FourierTestFn.parse(""), 3, e) == 0.0
-    # f == 1 collapses to a trace power
-    assert linear_statistic(F0, 4, e) == pytest.approx(trace_power(e, 4))
-
-
-def test_linear_statistic_real_via_complex_oracle():
-    # direct complex sum over all 2n angles +-theta
-    f = FH
-    nu = 5
-    for e in sample_haar_usp(MCConfig(3, 5, 17)):
-        direct = sum(
-            f.evaluate(s * t) * cmath.exp(2j * math.pi * nu * s * t)
-            for t in e.theta
-            for s in (1, -1)
-        )
-        assert abs(direct.imag) <= 1e-12
-        assert linear_statistic(f, nu, e) == pytest.approx(direct.real, abs=1e-10)
 
 
 def brute_moment_exact(n, nu, m, f):
@@ -244,6 +222,20 @@ def test_mc_against_exact():
     exact = statistic_moment_exact(5, 5, 2, F0)
     est, se = statistic_moment_mc(5, 5, 2, F0, MCConfig(5, 40_000, 2), threads=2)
     assert abs(est - float(exact)) <= 5 * se
+
+
+def test_mc_statistic_matches_its_definition():
+    # W = sum_i F_i tr(U^i), from the folded weights and the trace columns,
+    # against W = sum_k 2 f(theta_k) cos(2 pi nu theta_k) on the angles of the
+    # same draws; nu = 0 puts tr(U^0) = 2n in W, nu = 1 folds -1 onto 1 and
+    # nu = -2 folds every index
+    f3 = FourierTestFn.parse("0:1 1:1/2 2:1/4")
+    for n, nu, f in [(2, 0, FH), (3, 1, f3), (3, 5, FH), (1, -2, f3), (4, 3, FourierTestFn.parse("1:-1 3:2"))]:
+        cfg = MCConfig(n, 3_000, 60 + n)
+        w = np.array([linear_statistic(f, nu, theta) for theta in angle_stream(cfg)])
+        for m, (est, _) in zip((1, 2, 3), statistic_moments_mc(n, nu, (1, 2, 3), f, cfg)):
+            # W^1 and W^3 can average near 0: compare on the scale of |W|^m
+            assert abs(est - (w**m).mean()) <= 1e-12 * (np.abs(w) ** m).mean(), (n, nu, m)
 
 
 def test_mc_engine_matches_single_calls():

@@ -304,5 +304,5 @@ def test_pairing_identity(d):
 def test_pairing_structure_fields():
     (pairing,) = list(enumerate_pairings(Partition({1: 2})))
     assert pairing.base == Partition({1: 2})
-    assert pairing.pair_count(1) == 1
+    assert pairing.pairs == ((1, ((1, 2),)),)  # one pair of the two 1-parts
     assert pairing.weight() == 1
