@@ -75,8 +75,11 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
         objects = [{col: _fmt(row.get(col)) for col in COLUMNS} for row in rows]
         text = json.dumps(objects, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"--out: cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -320,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
-        rows = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args.format, args.out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -330,7 +333,6 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, CostGuard, CapExceeded) as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(rows, args.format, args.out)
     return EXIT_OK
 
 

@@ -40,13 +40,18 @@ The main consumers:
 * ``empirical_moment`` -- averages of unitarized Frobenius trace products
   over the hyperelliptic family, converging to Haar moments as q grows.
 * ``char_sum_distinct_primes`` / ``square_contribution`` -- the exact
-  distinct-prime and square-product tuple sums.
+  distinct-prime and square-product tuple sums.  A slot P^2 is a square and
+  a prime of degree j enters to an odd power only through slots of degree
+  j, so the square-product sum is a product over part sizes j of closed
+  forms in the prime counts, sum_{k even <= b_j} C(b_j, k) j^k W(N_j, k)
+  s_j^(b_j - k) (see ``square_contribution``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, perm
 from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
@@ -414,11 +419,6 @@ def _power_degrees(j: int, mode: Mode) -> list[tuple[int, int]]:
     return [(e, j // e) for e in range(1, j + 1) if j % e == 0 and (mode == "all_prime_powers" or e <= 2)]
 
 
-def prime_power_terms(field: PrimeField, j: int, mode: Mode) -> list[tuple[Poly, int, int]]:
-    """(P, e, Lambda) for every prime power Q = P^e of degree j kept by `mode`."""
-    return [(p, e, d) for e, d in _power_degrees(j, mode) for p in primes_of_degree(field, d)]
-
-
 def _prime_sums(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -> np.ndarray:
     """Two int64 columns over the primes P of the given degree, for every row
     h: sum_P (h/P), and #{P : P does not divide h}, which is sum_P (h/P)^2."""
@@ -611,51 +611,47 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
     return weight * int(terms.sum())
 
 
-def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition, budget: int = DEFAULT_BUDGET) -> int:
+def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition) -> int:
     """Exact sum over monic h (deg 2n+1) and tuples of distinct primes P_ji
     (deg P_ji = j, a_j picks per degree) of prod (h/P_ji)."""
-    return _distinct_prime_sums(field, n, a, weighted=False, budget=budget)
+    return _distinct_prime_sums(field, n, a, weighted=False, budget=DEFAULT_BUDGET)
 
 
-def char_sum_distinct_primes_weighted(field: PrimeField, n: int, a: Partition, budget: int = DEFAULT_BUDGET) -> int:
+def char_sum_distinct_primes_weighted(field: PrimeField, n: int, a: Partition) -> int:
     """Same sum with each factor weighted by Lambda(P_ji) = j."""
-    return _distinct_prime_sums(field, n, a, weighted=True, budget=budget)
+    return _distinct_prime_sums(field, n, a, weighted=True, budget=DEFAULT_BUDGET)
 
 
-def square_contribution(field: PrimeField, b: Partition, budget: int = DEFAULT_BUDGET) -> float:
+@lru_cache(maxsize=256)
+def _even_splits(k: int, r: int) -> int:
+    """B(k, r): splits of k labelled positions into r blocks of even size
+    (the first position's block holds 2t of them)."""
+    if r == 0:
+        return int(k == 0)
+    return sum(comb(k - 1, 2 * t - 1) * _even_splits(k - 2 * t, r - 1) for t in range(1, k // 2 + 1))
+
+
+def _even_words(letters: int, length: int) -> int:
+    """W(N, k): length-k words over N letters, each letter an even number of
+    times; the r letters used label the r blocks of a B(k, r) split."""
+    return sum(_even_splits(length, r) * perm(letters, r) for r in range(length // 2 + 1))
+
+
+def square_contribution(field: PrimeField, b: Partition) -> float:
     """q^(-size(b)/2) * sum over prime-or-prime^2 tuples (Q_ji, deg Q_ji = j)
     whose product is a perfect square, of prod Lambda(Q_ji).
 
-    Tracked by a parity bitmask over the underlying primes (a product is a
-    square iff every prime's total exponent is even); exact integer weights.
+    Exact: a slot P^2 is a square and a prime of degree j is picked to the
+    first power only by slots of degree j, so the product is a square iff
+    for each j those slots pick every prime an even number of times.  Part
+    size j of multiplicity m contributes sum_{k even <= m} C(m, k) j^k
+    W(N_j, k) s_j^(m-k), with N_j primes of degree j (``primes_of_degree``:
+    BudgetExceeded when q^j > DEFAULT_BUDGET) and s_j = (j/2) N_{j/2}, the
+    Lambda-weighted count of the prime squares of degree j (0 for odd j).
     """
-    prime_ids: dict[Poly, int] = {}
-
-    def pid(p: Poly) -> int:
-        if p not in prime_ids:
-            prime_ids[p] = len(prime_ids)
-        return prime_ids[p]
-
-    slot_weights = []
+    total = 1
     for j, m in b.items:
-        terms = prime_power_terms(field, j, "prime_or_prime2")
-        if len(terms) ** m > budget:
-            raise BudgetExceeded(f"{len(terms)}^{m} tuples at degree {j} exceed budget")
-        weights: dict[int, int] = {}  # parity bit -> summed Lambda of the candidates with it
-        for p, e, lam in terms:
-            bit = (1 << pid(p)) if e % 2 else 0
-            weights[bit] = weights.get(bit, 0) + lam
-        slot_weights += [weights] * m
-
-    # the last slot must cancel the parity left over: its bit equals the state
-    last = slot_weights.pop() if slot_weights else {0: 1}
-    states: dict[int, int] = {0: 1}
-    for weights in slot_weights:
-        nxt: dict[int, int] = {}
-        for state, weight in states.items():
-            for bit, lam in weights.items():
-                key = state ^ bit
-                nxt[key] = nxt.get(key, 0) + weight * lam
-        states = nxt
-    total = sum(weight * last.get(state, 0) for state, weight in states.items())
+        primes = len(primes_of_degree(field, j))
+        squares = j // 2 * len(primes_of_degree(field, j // 2)) if j % 2 == 0 else 0
+        total *= sum(comb(m, k) * j**k * _even_words(primes, k) * squares ** (m - k) for k in range(0, m + 1, 2))
     return total / field.q ** (b.size / 2)

@@ -143,9 +143,9 @@ def partitions_of_size_exactly(k: int) -> Iterator[Partition]:
         yield Partition(mults)
 
 
-def partitions_of_size_at_most(n: int, cap: int = DEFAULT_SIZE_CAP) -> Iterator[Partition]:
+def partitions_of_size_at_most(n: int) -> Iterator[Partition]:
     """All partitions with size <= n, by ascending size then shape order."""
-    if n > cap:
-        raise CapExceeded(f"size bound {n} exceeds cap {cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise CapExceeded(f"size bound {n} exceeds cap {DEFAULT_SIZE_CAP}")
     for k in range(n + 1):
         yield from partitions_of_size_exactly(k)

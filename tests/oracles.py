@@ -10,8 +10,9 @@ the full tensor-grid Gauss rule.  Angles are in turns, one ascending tuple
 per sample.
 
 The F_q helpers at the end work one polynomial at a time (factorization,
-Euler's criterion, the von Mangoldt function) where the library works by
-sieves over whole tables; the tests check the tables against them.
+Euler's criterion, the von Mangoldt function, the prime powers of one
+degree) where the library works by sieves over whole tables or by closed
+forms in the prime counts; the tests check the library against them.
 """
 
 from __future__ import annotations
@@ -268,6 +269,12 @@ def von_mangoldt(field: PrimeField, f: Poly) -> int:
     if len(factors) == 1:
         return poly_degree(factors[0][0])
     return 0
+
+
+def prime_power_terms(field: PrimeField, j: int) -> list[tuple[Poly, int, int]]:
+    """(P, e, Lambda) for every prime P (e = 1) and prime square P^2 (e = 2)
+    of degree j."""
+    return [(p, e, j // e) for e in (1, 2) if j % e == 0 for p in primes_of_degree(field, j // e)]
 
 
 def legendre_symbol(field: PrimeField, h: Poly, p: Poly) -> int:

@@ -177,6 +177,14 @@ def test_out_file(tmp_path, capsys):
     assert parse_csv(path.read_text())[0]["value"] == "2"
 
 
+def test_out_unwritable_exit(tmp_path, capsys):
+    # a missing directory and a directory: a config error naming --out, no traceback, no rows
+    for path in (tmp_path / "missing" / "rows.csv", tmp_path):
+        code, out, err = run_cli(capsys, "moment", "--n", "1", "--partition", "1^2", "--out", str(path))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("error: --out: cannot write") and str(path) in err
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("SYMP_THREADS", "2")
     args = ["oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "9000", "--seed", "4"]

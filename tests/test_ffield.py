@@ -15,6 +15,7 @@ from oracles import (
     legendre_symbol,
     monic_polys,
     poly_eval,
+    prime_power_terms,
     rows_to_polys,
     squarefree_monics,
     von_mangoldt,
@@ -27,6 +28,7 @@ from symp.ffield import (
     _chunk_symbols,
     _degree_symbols,
     _distinct_prime_sums,
+    _even_words,
     _orbit_representatives,
     _prime_sums,
     LPolynomial,
@@ -619,8 +621,6 @@ def brute_square_contribution(field, b):
     polynomials, and check squareness by exact square-root extraction."""
     import itertools as it
 
-    from symp.ffield import prime_power_terms
-
     def is_square(f):
         # f monic; square iff all prime exponents even
         return all(e % 2 == 0 for _, e in factorize(field, f))
@@ -628,7 +628,7 @@ def brute_square_contribution(field, b):
     cand_lists = []
     for j, m in b.items:
         cands = []
-        for p, e, lam in prime_power_terms(field, j, "prime_or_prime2"):
+        for p, e, lam in prime_power_terms(field, j):
             poly = p
             if e == 2:
                 poly = poly_mul(field, p, p)
@@ -655,12 +655,48 @@ def test_square_contribution_values():
     # the exact integer behind the q = 29 value: 3 q^2 - 2 q
     assert square_contribution(PrimeField(29), Partition({2: 2})) == 2465 / 29**2
     assert square_contribution(F5, Partition()) == 1.0
+    # 2^4 by hand from N_2 = (q^2 - q)/2 primes of degree 2 and s_2 = q prime
+    # squares: q^4 + 24 N_2 q^2 + 16 (3 N_2^2 - 2 N_2); 435^4 tuples at q = 29
+    for q in (5, 29):
+        expected = (25 * q**4 - 36 * q**3 - 4 * q**2 + 16 * q) / q**4
+        assert square_contribution(PrimeField(q), Partition({2: 4})) == expected
 
 
 def test_square_contribution_brute():
     for parts in [{1: 2}, {2: 1}, {2: 2}, {1: 1, 2: 1}, {1: 4}]:
         b = Partition(parts)
         assert square_contribution(F3, b) == pytest.approx(brute_square_contribution(F3, b))
+    # each at most 1 600 tuples; the same integer over the same power of q
+    for field, parts in [
+        (F5, {1: 2, 2: 1}),
+        (F5, {3: 2}),
+        (F3, {2: 3}),
+        (F3, {1: 2, 2: 2}),
+        (F3, {4: 1}),
+        (F3, {1: 6}),
+    ]:
+        b = Partition(parts)
+        assert square_contribution(field, b) == brute_square_contribution(field, b), (field, b)
+
+
+def test_even_words_brute():
+    # words over N letters with every letter an even number of times, by enumeration
+    for letters in range(5):
+        for length in range(7):
+            brute = sum(
+                all(word.count(c) % 2 == 0 for c in range(letters))
+                for word in itertools.product(range(letters), repeat=length)
+            )
+            assert _even_words(letters, length) == brute, (letters, length)
+
+
+def test_square_contribution_error_times_q_settles():
+    # value = g(b) - c/q + O(q^-2), so q |value - g(b)| settles at c as q grows
+    for parts, c in [({2: 2}, 2), ({2: 4}, 36), ({1: 2, 2: 2}, 2)]:
+        b = Partition(parts)
+        scaled = [q * abs(square_contribution(PrimeField(q), b) - gaussian_moment(b)) for q in (29, 101)]
+        assert scaled == pytest.approx([c, c], rel=0.005), (b, scaled)
+        assert abs(scaled[1] - c) <= abs(scaled[0] - c) + 1e-9, (b, scaled)
 
 
 def test_square_contribution_approaches_gaussian_moment():
