@@ -23,6 +23,9 @@ constant, so memory does not grow with the number of primes; chunking
 changes no value.  ``symbols_batch`` and ``char_table`` are one-prime
 chunks of the same route.  The family sums read two per-degree columns,
 sum_P (h/P) and #{P : P does not divide h}, from the chunks' blocks.
+Every table over the q^d codes of one degree passes ``_check_codes`` (q^d <=
+DEFAULT_BUDGET) first; ``empirical_moment``'s budget (``ffcheck --budget``)
+is checked once, at entry, and can only lower that bound.
 
 The family sums run over one curve per translation orbit.  h(x) -> h(x+v)
 permutes the primes of every degree, so it keeps every per-curve sum
@@ -208,7 +211,7 @@ def is_irreducible(field: PrimeField, f: Poly) -> bool:
     return True
 
 
-def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
+def primes_of_degree(field: PrimeField, degree: int) -> list[Poly]:
     """Monic irreducibles of the given degree, ordered with c_{degree-1}
     varying fastest, then c_{degree-2}, ..., c_0 slowest (cached).
 
@@ -217,17 +220,13 @@ def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGE
     left unmarked are the primes.
     """
     degree = nonnegative_int(degree, "degree")
+    count = _check_codes(field, degree)  # before the cache: one outcome per call
     if degree not in field._primes:
-        if field.q**degree > budget:
-            raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
-        found: list[Poly] = []
-        if degree >= 1:
-            composite = np.zeros(field.q**degree, dtype=bool)
-            for e in range(1, degree // 2 + 1):
-                factors = np.array(primes_of_degree(field, e), dtype=np.int64)
-                composite[_product_codes(field, factors, monic_coeff_matrix(field, degree - e))] = True
-            found = _monic_polys_where(field, degree, ~composite)
-        field._primes[degree] = found
+        composite = np.zeros(count, dtype=bool)
+        for e in range(1, degree // 2 + 1):
+            factors = np.array(primes_of_degree(field, e), dtype=np.int64)
+            composite[_product_codes(field, factors, monic_coeff_matrix(field, degree - e))] = True
+        field._primes[degree] = _monic_polys_where(field, degree, ~composite) if degree else []
     return field._primes[degree]
 
 
@@ -235,12 +234,17 @@ def primes_of_degree(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGE
 # vectorized character-sum layer
 
 
-def monic_coeff_matrix(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """(q^degree, degree+1) int64 rows [c_0 .. c_{degree-1}, 1]; row index = base-q code."""
+def _check_codes(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> int:
+    """q^degree, the number of monic codes of that degree; BudgetExceeded above the budget."""
     count = field.q ** nonnegative_int(degree, "degree")
     if count > budget:
         raise BudgetExceeded(f"q^{degree} = {count} exceeds budget {budget}")
-    return _code_rows(field, np.arange(count), degree)
+    return count
+
+
+def monic_coeff_matrix(field: PrimeField, degree: int) -> np.ndarray:
+    """(q^degree, degree+1) int64 rows [c_0 .. c_{degree-1}, 1]; row index = base-q code."""
+    return _code_rows(field, np.arange(_check_codes(field, degree)), degree)
 
 
 def _code_rows(field: PrimeField, codes: np.ndarray, degree: int) -> np.ndarray:
@@ -288,13 +292,11 @@ def _monic_polys_where(field: PrimeField, degree: int, keep: np.ndarray) -> list
     return [tuple(r) for r in _code_rows(field, order[keep[order]], degree).tolist()]
 
 
-def _squarefree_codes(field: PrimeField, degree: int, budget: int) -> np.ndarray:
+def _squarefree_codes(field: PrimeField, degree: int) -> np.ndarray:
     """Mask over the base-q codes of monic polynomials of the given degree,
     True where squarefree: a sieve that marks P^2 * G for every prime P of
     degree e <= degree/2 and every monic G of degree - 2e."""
-    if field.q ** nonnegative_int(degree, "degree") > budget:
-        raise BudgetExceeded(f"q^{degree} = {field.q**degree} exceeds budget {budget}")
-    squarefree = np.ones(field.q**degree, dtype=bool)
+    squarefree = np.ones(_check_codes(field, degree), dtype=bool)
     for e in range(1, degree // 2 + 1):
         squares = _square_rows(field, np.array(primes_of_degree(field, e), dtype=np.int64))
         squarefree[_product_codes(field, squares, monic_coeff_matrix(field, degree - 2 * e))] = False
@@ -383,7 +385,7 @@ def _chunk_symbols(field: PrimeField, rows: np.ndarray, primes: np.ndarray) -> n
     _check_float_exact(q, deg_in + 1)
     powers = _powers_mod(field, primes, deg_in)
     # every prime of degree d reduces the same squares of all residues (cached;
-    # no budget check, the primes of degree d passed it)
+    # q^d passed the guard of primes_of_degree)
     if d not in field._residue_squares:
         residues = _code_rows(field, np.arange(q**d), d)[:, :d]
         field._residue_squares[d] = _square_rows(field, residues).astype(np.float64)
@@ -397,11 +399,11 @@ def _chunk_symbols(field: PrimeField, rows: np.ndarray, primes: np.ndarray) -> n
     return tables.take(_reduced_codes(field, rows, powers) + offsets)
 
 
-def _degree_symbols(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -> Iterator[np.ndarray]:
+def _degree_symbols(field: PrimeField, rows: np.ndarray, degree: int) -> Iterator[np.ndarray]:
     """(h/P) for every row h and every prime P of the given degree, as int8
     (rows, primes) blocks in ``primes_of_degree`` order.  A block holds as
     many primes as keep its float64 residues within _CHUNK_BYTES."""
-    primes = np.array(primes_of_degree(field, degree, budget), dtype=np.int64)
+    primes = np.array(primes_of_degree(field, degree), dtype=np.int64)
     per_prime = 8 * degree * max(rows.shape[0], field.q**degree)
     step = max(1, _CHUNK_BYTES // per_prime)
     for start in range(0, primes.shape[0], step):
@@ -419,19 +421,17 @@ def _power_degrees(j: int, mode: Mode) -> list[tuple[int, int]]:
     return [(e, j // e) for e in range(1, j + 1) if j % e == 0 and (mode == "all_prime_powers" or e <= 2)]
 
 
-def _prime_sums(field: PrimeField, rows: np.ndarray, degree: int, budget: int) -> np.ndarray:
+def _prime_sums(field: PrimeField, rows: np.ndarray, degree: int) -> np.ndarray:
     """Two int64 columns over the primes P of the given degree, for every row
     h: sum_P (h/P), and #{P : P does not divide h}, which is sum_P (h/P)^2."""
     sums = np.zeros((2, rows.shape[0]), dtype=np.int64)
-    for block in _degree_symbols(field, rows, degree, budget):
+    for block in _degree_symbols(field, rows, degree):
         sums[0] += block.sum(axis=1, dtype=np.int64)
         sums[1] += np.count_nonzero(block, axis=1)
     return sums
 
 
-def weighted_char_sums(
-    field: PrimeField, rows: np.ndarray, j: int, mode: Mode, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
+def weighted_char_sums(field: PrimeField, rows: np.ndarray, j: int, mode: Mode) -> np.ndarray:
     """sum_{deg Q = j} Lambda(Q) (h/Q) for every row h, as exact int64.
 
     Q = P^e has Lambda(Q) = deg P, and (h/P^e) is (h/P) for odd e and
@@ -439,7 +439,7 @@ def weighted_char_sums(
     """
     acc = np.zeros(rows.shape[0], dtype=np.int64)
     for e, d in _power_degrees(nonnegative_int(j, "j"), mode):
-        odd, even = _prime_sums(field, rows, d, budget)
+        odd, even = _prime_sums(field, rows, d)
         acc += d * (odd if e % 2 else even)
     return acc
 
@@ -498,7 +498,7 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
                 table[codes] = tables[e][_code(field, p)] * tables[i - e]
         codes = [_code(field, p) for p in primes_of_degree(field, i)]
         start = 0
-        for block in _degree_symbols(field, rows, i, DEFAULT_BUDGET):
+        for block in _degree_symbols(field, rows, i):
             table[codes[start : start + block.shape[1]]] = block.T
             start += block.shape[1]
         tables.append(table)
@@ -506,15 +506,16 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
 
 
 def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:
-    """L-polynomial of the hyperelliptic curve y^2 = h(x), exact coefficients."""
+    """L-polynomial of the hyperelliptic curve y^2 = h(x), exact coefficients
+    (h is read mod q)."""
+    h = poly_trim([c % field.q for c in h])
     degree = poly_degree(h)
     if degree < 1 or degree % 2 == 0 or not poly_is_monic(h):
         raise ValueError("h must be monic of odd degree >= 1")
     if not is_squarefree(field, h):
         raise NotSquarefree(f"h = {h} is not squarefree")
     n = (degree - 1) // 2
-    row = np.array([[h[i] if i < len(h) else 0 for i in range(degree + 1)]], dtype=np.int64)
-    coeffs = l_polynomials_batch(field, n, row)[0]
+    coeffs = l_polynomials_batch(field, n, np.array([h], dtype=np.int64))[0]
     return LPolynomial(field.q, n, tuple(int(v) for v in coeffs))
 
 
@@ -537,11 +538,10 @@ def frobenius_power_sums(lpoly: LPolynomial, j_max: int) -> list[int]:
 # family averages and tuple sums
 
 
-def hyperelliptic_rows(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def hyperelliptic_rows(field: PrimeField, n: int) -> np.ndarray:
     """Coefficient rows of the family {h monic squarefree, deg h = 2n+1}."""
-    n = nonnegative_int(n, "n")
-    rows = monic_coeff_matrix(field, 2 * n + 1, budget)
-    return rows[_squarefree_codes(field, 2 * n + 1, budget)]
+    degree = 2 * nonnegative_int(n, "n") + 1
+    return _code_rows(field, np.flatnonzero(_squarefree_codes(field, degree)), degree)
 
 
 def _orbit_representatives(field: PrimeField, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -574,10 +574,12 @@ def empirical_moment(
     orbit size before the division, so they are the full family's integers.
     """
     _check_mode(mode)  # also for the empty partition, which reads no prime power
-    rows, weight = _orbit_representatives(field, hyperelliptic_rows(field, n, budget))
+    for degree in (2 * nonnegative_int(n, "n") + 1, *a.support):  # bounds every table built here
+        _check_codes(field, degree, budget)
+    rows, weight = _orbit_representatives(field, hyperelliptic_rows(field, n))
     product = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
-        product = product * weighted_char_sums(field, rows, j, mode, budget).astype(object) ** m
+        product = product * weighted_char_sums(field, rows, j, mode).astype(object) ** m
     sign = (-1) ** a.length
     return sign * (weight * int(product.sum())) / (weight * rows.shape[0] * field.q ** (a.size / 2))
 
@@ -593,18 +595,17 @@ def _elementary_from_power_sums(power: list[int], r: int) -> int:
     return elem[r]
 
 
-def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool, budget: int) -> int:
+def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool) -> int:
     """Sum over monic h of prod_j a_j! e_{a_j}(x_P : deg P = j), with x_P =
     (h/P), times j when weighted.  Newton's identities give e_m from the
     power sums sum_P x_P^k: scale^k times the ``_prime_sums`` column
     sum_P (h/P) for odd k and #{P : P does not divide h} for even k.  The
     summand is invariant under h(x) -> h(x+v), so the sum runs over one h
     per translation orbit times the orbit size (all h when q divides 2n+1)."""
-    n = nonnegative_int(n, "n")
-    rows, weight = _orbit_representatives(field, monic_coeff_matrix(field, 2 * n + 1, budget))
+    rows, weight = _orbit_representatives(field, monic_coeff_matrix(field, 2 * nonnegative_int(n, "n") + 1))
     terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
-        odd, even = _prime_sums(field, rows, j, budget).astype(object)
+        odd, even = _prime_sums(field, rows, j).astype(object)
         scale = j if weighted else 1
         power = [scale**k * (odd if k % 2 else even) for k in range(1, m + 1)]
         terms = terms * (factorial(m) * _elementary_from_power_sums(power, m))
@@ -614,12 +615,12 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
 def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition) -> int:
     """Exact sum over monic h (deg 2n+1) and tuples of distinct primes P_ji
     (deg P_ji = j, a_j picks per degree) of prod (h/P_ji)."""
-    return _distinct_prime_sums(field, n, a, weighted=False, budget=DEFAULT_BUDGET)
+    return _distinct_prime_sums(field, n, a, weighted=False)
 
 
 def char_sum_distinct_primes_weighted(field: PrimeField, n: int, a: Partition) -> int:
     """Same sum with each factor weighted by Lambda(P_ji) = j."""
-    return _distinct_prime_sums(field, n, a, weighted=True, budget=DEFAULT_BUDGET)
+    return _distinct_prime_sums(field, n, a, weighted=True)
 
 
 @lru_cache(maxsize=256)

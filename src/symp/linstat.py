@@ -48,11 +48,12 @@ class FourierTestFn:
     @classmethod
     def from_dict(cls, table: dict) -> "FourierTestFn":
         items = []
-        for j in sorted(table):
+        for key in sorted(table):
+            j = integer(key, "Fourier index")
             if j < 0:
                 raise ValueError("supply only j >= 0; evenness fills in the rest")
-            if table[j] != 0:
-                items.append((int(j), table[j]))
+            if table[key] != 0:
+                items.append((j, table[key]))
         return cls(tuple(items))
 
     @classmethod

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb
+from operator import index
 from typing import Iterator, Mapping
 
 from .errors import CapExceeded, NotDominated, ParseError
@@ -29,13 +30,15 @@ class Partition:
         items = []
         length = size = 0
         if parts:
-            for j in sorted(parts):
-                m = parts[j]
+            for key in sorted(parts):
+                try:
+                    j, m = index(key), index(parts[key])
+                except TypeError:
+                    raise ValueError(f"invalid partition entry {key!r}:{parts[key]!r}: not an integer") from None
                 if m == 0:
                     continue
                 if j < 1 or m < 0:
                     raise ValueError(f"invalid partition entry {j}:{m}")
-                j, m = int(j), int(m)
                 items.append((j, m))
                 length += m
                 size += j * m

@@ -26,7 +26,6 @@ import numpy as np
 from symp import haar
 from symp.errors import CostGuard, PreconditionViolated
 from symp.ffield import (
-    DEFAULT_BUDGET,
     Poly,
     PrimeField,
     _monic_polys_where,
@@ -303,10 +302,10 @@ def jacobi_symbol(field: PrimeField, h: Poly, f: Poly) -> int:
     return result
 
 
-def squarefree_monics(field: PrimeField, degree: int, budget: int = DEFAULT_BUDGET) -> list[Poly]:
+def squarefree_monics(field: PrimeField, degree: int) -> list[Poly]:
     """All squarefree monic polynomials of the given degree, c_{degree-1}
     varying fastest (the ``monic_polys`` order)."""
-    return _monic_polys_where(field, degree, _squarefree_codes(field, degree, budget))
+    return _monic_polys_where(field, degree, _squarefree_codes(field, degree))
 
 
 def rows_to_polys(rows: np.ndarray) -> list[Poly]:

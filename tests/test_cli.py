@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from symp.cli import COLUMNS, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OUT_OF_RANGE, main
 
 
@@ -126,6 +128,20 @@ def test_ffcheck_budget_covers_prime_tables(capsys):
     )
     assert code == EXIT_BUDGET
     assert "q^5 = 3125 exceeds budget 1000" in err
+
+
+@pytest.mark.parametrize(
+    "n, partition, budget, err",
+    [
+        ("2", "1^2", "200", "error: budget: q^5 = 243 exceeds budget 200\n"),  # the family, q^(2n+1)
+        ("1", "1^1 4^1", "50", "error: budget: q^4 = 81 exceeds budget 50\n"),  # a part size, q^j
+    ],
+)
+def test_ffcheck_budget_message(capsys, n, partition, budget, err):
+    code, out, stderr = run_cli(
+        capsys, "ffcheck", "--n", n, "--partition", partition, "--q", "3", "--budget", budget
+    )
+    assert (code, out, stderr) == (EXIT_BUDGET, "", err)
 
 
 def test_ffcheck_non_positive_budget_exit(capsys):

@@ -23,7 +23,6 @@ from oracles import (
 from symp import ffield
 from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
 from symp.ffield import (
-    DEFAULT_BUDGET,
     _check_float_exact,
     _chunk_symbols,
     _degree_symbols,
@@ -169,10 +168,12 @@ def test_squarefree_sieve_matches_gcd_test(q):
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        squarefree_monics(F5, 3, budget=10)
-    with pytest.raises(BudgetExceeded):
-        monic_coeff_matrix(F5, 5, budget=100)
+    # the user's budget enters only at empirical_moment: the family degree 2n+1 first
+    with pytest.raises(BudgetExceeded, match=r"^q\^3 = 125 exceeds budget 10$"):
+        empirical_moment(PrimeField(5), 1, Partition({}), budget=10)
+    # then every part size, whose prime tables and residue squares hold q^j codes
+    with pytest.raises(BudgetExceeded, match=r"^q\^5 = 3125 exceeds budget 100$"):
+        empirical_moment(PrimeField(5), 0, Partition({5: 1}), budget=100)
     # raised before anything of size q^degree is allocated: 5^40 would not fit
     with pytest.raises(BudgetExceeded):
         primes_of_degree(F5, 40)
@@ -184,6 +185,16 @@ def test_budget_guard():
     # 101 530 000 int8 entries at q = 5, n = 2; refused before any table exists
     with pytest.raises(BudgetExceeded, match="101530000 entries"):
         l_polynomials_batch(F5, 2, np.zeros((130_000, 6), dtype=np.int64))
+
+
+def test_budget_outcome_does_not_depend_on_cached_tables():
+    # 125 curves fit in the budget, the degree-5 prime table does not, whether
+    # or not the field has already built it
+    field = PrimeField(5)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match=r"^q\^5 = 3125 exceeds budget 1000$"):
+            empirical_moment(field, 1, Partition({5: 1}), budget=1000)
+        primes_of_degree(field, 5)
 
 
 def test_von_mangoldt():
@@ -265,7 +276,7 @@ def test_one_prime_symbols_equal_the_degree_blocks():
         field = PrimeField(q)
         rows = hyperelliptic_rows(field, 1)
         for d in (1, 2, 3):
-            block = np.hstack(list(_degree_symbols(field, rows, d, DEFAULT_BUDGET)))
+            block = np.hstack(list(_degree_symbols(field, rows, d)))
             primes = primes_of_degree(field, d)
             assert block.dtype == np.int8 and block.shape == (rows.shape[0], len(primes))
             for p, column in zip(primes, block.T):
@@ -284,7 +295,7 @@ def test_chunking_leaves_every_value(monkeypatch, q, n):
     degrees = range(1, max(2 * n, 2) + 1)
 
     def values():
-        sums = [_prime_sums(field, rows, d, DEFAULT_BUDGET).tobytes() for d in degrees]
+        sums = [_prime_sums(field, rows, d).tobytes() for d in degrees]
         return sums, l_polynomials_batch(field, n, rows).tobytes()
 
     default = values()
@@ -292,7 +303,7 @@ def test_chunking_leaves_every_value(monkeypatch, q, n):
     for primes in (1, 7):
         # `primes` primes per chunk at the top degree, at least as many below it
         monkeypatch.setattr(ffield, "_CHUNK_BYTES", chunk_bytes(field, rows, top, primes))
-        widths = [block.shape[1] for block in _degree_symbols(field, rows, top, DEFAULT_BUDGET)]
+        widths = [block.shape[1] for block in _degree_symbols(field, rows, top)]
         assert widths[:-1] == [primes] * (len(widths) - 1) and 1 <= widths[-1] <= primes
         assert values() == default
 
@@ -347,6 +358,14 @@ def test_l_polynomial_rejects():
         l_polynomial(F3, (0, 0, 0, 1))  # x^3
     with pytest.raises(ValueError):
         l_polynomial(F3, (1, 1, 1))  # even degree
+
+
+def test_l_polynomial_reads_h_mod_q():
+    # float64 residue products are exact only for entries in [0, q)
+    reduced = l_polynomial(F5, (2, 1, 0, 1))
+    assert reduced.c == (1, -2, 5)
+    for h in [(2**60 + 1, 1, 0, 1), (-3, 1, 0, 1), (2, 6, 5, 11), (2, 1, 0, 1, 10)]:
+        assert l_polynomial(F5, h) == reduced, h
 
 
 def test_l_polynomial_degenerate_n0():
@@ -554,7 +573,7 @@ def test_orbit_sums_equal_full_family_sums(q, n):
         expected = (-1) ** a.length * full / (rows.shape[0] * q ** (a.size / 2))
         assert empirical_moment(field, n, a) == expected
         for weighted in (False, True):
-            assert _distinct_prime_sums(field, n, a, weighted, 10**8) == full_distinct_prime_sum(symbols, a, weighted)
+            assert _distinct_prime_sums(field, n, a, weighted) == full_distinct_prime_sum(symbols, a, weighted)
 
 
 def test_empirical_moment_pinned_reduced_case():

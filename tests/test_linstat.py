@@ -33,6 +33,12 @@ def test_parse():
         FourierTestFn.parse("a:b")
 
 
+def test_from_dict_indices_must_be_integers():
+    with pytest.raises(PreconditionViolated, match="Fourier index = 1.5 is not an integer"):
+        FourierTestFn.from_dict({1.5: 1})
+    assert FourierTestFn.from_dict({np.int64(1): 2, 0: 0}).coefficients == ((1, 2),)
+
+
 def test_l2_norm():
     assert l2_norm(FourierTestFn.parse("")) == 0.0
     assert l2_norm(F0) == 1.0

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,3 +141,11 @@ def test_canonical_form():
         Partition({0: 1})
     with pytest.raises(ValueError):
         Partition({2: -1})
+
+
+def test_entries_must_be_integers():
+    for parts, entry in [({1: 2.9}, "1:2.9"), ({1.5: 1}, "1.5:1"), ({2.0: 0}, "2.0:0"), ({1: "2"}, "1:'2'")]:
+        with pytest.raises(ValueError, match=f"invalid partition entry {re.escape(entry)}: not an integer"):
+            Partition(parts)
+    a = Partition({np.int64(2): np.int32(3), 1: np.int64(1)})  # numpy integers pass, stored as int
+    assert a.items == ((1, 1), (2, 3)) and all(type(v) is int for item in a.items for v in item)
