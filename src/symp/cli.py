@@ -92,16 +92,17 @@ def _parse_partition(text: str, flag: str) -> Partition:
 
 
 def _check_flags(args) -> None:
-    """Reject a negative matrix size --n, moment order --m or seed --seed,
-    and a sample count, worker count or finite-field budget below 1."""
+    """Reject a negative matrix size --n, moment order --m or seed --seed, a
+    sample count below 2 (one sample has no standard error), and a worker
+    count or finite-field budget below 1."""
     for flag in ("n", "m", "seed"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ParseError(f"--{flag}: must be non-negative, got {value}")
-    for flag in ("samples", "threads", "budget"):
+    for flag, least in (("samples", 2), ("threads", 1), ("budget", 1)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ParseError(f"--{flag}: must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ParseError(f"--{flag}: must be at least {least}, got {value}")
 
 
 def _threads(args) -> int:

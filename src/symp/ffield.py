@@ -8,21 +8,21 @@ full sweep over all monic h of degree 2n+1 stays vectorized; reductions over
 the family multiply and sum whole columns of exact Python integers (numpy
 object arrays, no overflow guard), so they are exact at any size and
 independent of scheduling.
-Prime tables, the squarefree family and the L-polynomials' tables of
-(h/F) are sieves over base-q codes sum_i c_i q^i of monic polynomials (a
-code is the row index in ``monic_coeff_matrix``); (h/F) is completely
-multiplicative in F, so the row of P * G is (h/P) (h/G).  Every
-prime symbol (h/P) comes by one route, ``_degree_symbols``, which works on
-chunks of the primes of one degree: it builds every prime's matrix of
-x^t mod P at once, reduces the coefficient rows and the squares of all
-residues with one float64 product each (BLAS; exact integers while
-(deg h + 1)(q - 1)^2 < 2^53, checked), and reads each symbol from the
-chunk's character tables, marked in one flat int8 array, by residue code.
+Prime tables and the squarefree family are sieves over base-q codes
+sum_i c_i q^i of monic polynomials (a code is the row index in
+``monic_coeff_matrix``).  Every prime symbol (h/P) comes by one route,
+``_degree_symbols``, which works on chunks of the primes of one degree: it
+builds every prime's matrix of x^t mod P at once, reduces the coefficient
+rows and the squares of all residues with one float64 product each (BLAS;
+exact integers while (deg h + 1)(q - 1)^2 < 2^53, checked), and reads each
+symbol from the chunk's character tables, marked in one flat int8 array, by
+residue code.
 A chunk holds as many primes as keep its residues within _CHUNK_BYTES, a
 constant, so memory does not grow with the number of primes; chunking
 changes no value.  ``symbols_batch`` and ``char_table`` are one-prime
 chunks of the same route.  The family sums read two per-degree columns,
-sum_P (h/P) and #{P : P does not divide h}, from the chunks' blocks.
+sum_P (h/P) and #{P : P does not divide h}, from the chunks' blocks; the
+L-polynomials read the Euler product over the primes from the same blocks.
 Every table over the q^d codes of one degree passes ``_check_codes`` (q^d <=
 DEFAULT_BUDGET) first; ``empirical_moment``'s budget (``ffcheck --budget``)
 is checked once, at entry, and can only lower that bound.
@@ -31,8 +31,9 @@ The family sums run over one curve per translation orbit.  h(x) -> h(x+v)
 permutes the primes of every degree, so it keeps every per-curve sum
 sum_Q Lambda(Q) (h/Q); it moves c_{d-1} to c_{d-1} + d v, so when q does not
 divide d = deg h each orbit holds exactly one h with c_{d-1} = 0, and a sum
-over the family (or over all monic h) is q times the sum over those.  When q
-divides d every h keeps its c_{d-1} and the sums run over all rows.
+over the family (or over all monic h) is q times the sum over those: the
+codes below q^(d-1), so only their rows are built.  When q divides d every h
+keeps its c_{d-1} and the sums run over all rows.
 
 The main consumers:
 
@@ -257,11 +258,6 @@ def _code_rows(field: PrimeField, codes: np.ndarray, degree: int) -> np.ndarray:
     return rows
 
 
-def _code(field: PrimeField, p: Poly) -> int:
-    """Base-q code of the monic p (its row index in ``monic_coeff_matrix``)."""
-    return sum(c * field.q**k for k, c in enumerate(p[:-1]))
-
-
 def _product_codes(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Base-q codes of every product of a row of `a` with a row of `b`.
 
@@ -473,36 +469,38 @@ class LPolynomial:
 def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarray:
     """c_0..c_{2n} for every (squarefree monic, degree 2n+1) coefficient row.
 
-    c_i = sum_{deg F = i} (h/F), by a sieve over the base-q codes of F: an
-    int8 table of (h/F) per degree, one row per code and one column per
-    curve.  The symbol is completely multiplicative, so the row of P * G,
-    with P prime of degree e <= i/2 and G monic, is (h/P) (h/G), written one
-    prime at a time (every split of F writes the same value); the rows of
-    the primes of degree i come from that degree's ``_degree_symbols``
-    blocks.  The tables hold sum_{i <= 2n} q^i entries per curve;
-    BudgetExceeded is raised before any is allocated when the total exceeds
-    DEFAULT_BUDGET.
+    c_i = sum_{deg F = i} (h/F) are the coefficients of the Euler product
+    sum_F (h/F) u^deg F = prod_P (1 - (h/P) u^deg P)^-1, truncated at u^2n:
+    every monic F is counted once, through its factorisation into primes.
+    The primes of degree d give sum_k S_k u^(dk), with S_k the complete
+    homogeneous sum of degree k of their symbols, k <= 2n/d, read from that
+    degree's ``_degree_symbols`` blocks.  Adding a prime P turns S_k into
+    S_k + (h/P) S_{k-1}, with S_{k-1} already past P and S_0 = 1, so along a
+    block's primes S_k is a running sum on top of its value before the
+    block; the top k needs only the block's total.  Every partial value is
+    at most the number of monic F of degree <= 2n, so int64 is exact.
     """
     if rows.shape[1] != 2 * n + 2:
         raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
-    entries = sum(field.q**i for i in range(2 * n + 1)) * rows.shape[0]
-    if entries > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"L-polynomial tables of {entries} entries exceed budget {DEFAULT_BUDGET}")
-    tables = [np.ones((1, rows.shape[0]), dtype=np.int8)]  # degree 0: F = 1
-    for i in range(1, 2 * n + 1):
-        table = np.zeros((field.q**i, rows.shape[0]), dtype=np.int8)
-        for e in range(1, i // 2 + 1):
-            primes = primes_of_degree(field, e)
-            products = _product_codes(field, np.array(primes, dtype=np.int64), monic_coeff_matrix(field, i - e))
-            for p, codes in zip(primes, products.reshape(len(primes), -1)):
-                table[codes] = tables[e][_code(field, p)] * tables[i - e]
-        codes = [_code(field, p) for p in primes_of_degree(field, i)]
-        start = 0
-        for block in _degree_symbols(field, rows, i):
-            table[codes[start : start + block.shape[1]]] = block.T
-            start += block.shape[1]
-        tables.append(table)
-    return np.stack([table.sum(axis=0, dtype=np.int64) for table in tables], axis=1)
+    top = 2 * n
+    series = np.zeros((rows.shape[0], top + 1), dtype=np.int64)
+    series[:, 0] = 1
+    for d in range(1, top + 1):
+        kmax = top // d
+        sums = np.zeros((kmax + 1, rows.shape[0]), dtype=np.int64)  # S_k over the degree's primes so far
+        sums[0] = 1
+        for block in _degree_symbols(field, rows, d):
+            running = 1  # S_{k-1} after each prime of the block
+            for k in range(1, kmax + 1):
+                step = block * running
+                if k < kmax:
+                    running = sums[k, :, None] + np.cumsum(step, axis=1)
+                sums[k] += step.sum(axis=1)
+        product = series.copy()  # times sum_k S_k u^(dk), truncated at u^2n
+        for k in range(1, kmax + 1):
+            product[:, d * k :] += sums[k, :, None] * series[:, : top + 1 - d * k]
+        series = product
+    return series
 
 
 def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:
@@ -544,17 +542,18 @@ def hyperelliptic_rows(field: PrimeField, n: int) -> np.ndarray:
     return _code_rows(field, np.flatnonzero(_squarefree_codes(field, degree)), degree)
 
 
-def _orbit_representatives(field: PrimeField, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """One monic row per orbit of h(x) -> h(x+v), and the orbit size.
+def _orbit_representatives(field: PrimeField, degree: int, squarefree: bool) -> tuple[np.ndarray, int]:
+    """One monic row of the given degree per orbit of h(x) -> h(x+v), among
+    all monic h or only the squarefree ones, and the orbit size.
 
-    When q does not divide d = deg h, the rows with c_{d-1} = 0 and weight q;
-    otherwise every row and weight 1.  Valid for any translation-closed set
-    of rows, such as all monic or all squarefree monic h of degree d.
+    When q does not divide the degree d, each orbit holds one h with
+    c_{d-1} = 0, and c_{d-1} is the top base-q digit: the representatives
+    are the codes below q^(d-1), in code order, with weight q.  Otherwise
+    every code, with weight 1.
     """
-    degree = rows.shape[1] - 1
-    if degree % field.q == 0:
-        return rows, 1
-    return rows[rows[:, degree - 1] == 0], field.q
+    keep = _squarefree_codes(field, degree) if squarefree else np.ones(_check_codes(field, degree), dtype=bool)
+    weight = 1 if degree % field.q == 0 else field.q
+    return _code_rows(field, np.flatnonzero(keep[: keep.size // weight]), degree), weight
 
 
 def empirical_moment(
@@ -576,7 +575,7 @@ def empirical_moment(
     _check_mode(mode)  # also for the empty partition, which reads no prime power
     for degree in (2 * nonnegative_int(n, "n") + 1, *a.support):  # bounds every table built here
         _check_codes(field, degree, budget)
-    rows, weight = _orbit_representatives(field, hyperelliptic_rows(field, n))
+    rows, weight = _orbit_representatives(field, 2 * n + 1, squarefree=True)
     product = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
         product = product * weighted_char_sums(field, rows, j, mode).astype(object) ** m
@@ -602,7 +601,7 @@ def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool
     sum_P (h/P) for odd k and #{P : P does not divide h} for even k.  The
     summand is invariant under h(x) -> h(x+v), so the sum runs over one h
     per translation orbit times the orbit size (all h when q divides 2n+1)."""
-    rows, weight = _orbit_representatives(field, monic_coeff_matrix(field, 2 * nonnegative_int(n, "n") + 1))
+    rows, weight = _orbit_representatives(field, 2 * nonnegative_int(n, "n") + 1, squarefree=False)
     terms = np.ones(rows.shape[0], dtype=object)
     for j, m in a.items:
         odd, even = _prime_sums(field, rows, j).astype(object)

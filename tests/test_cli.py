@@ -263,6 +263,13 @@ def test_oracle_negative_samples_exit(capsys):
     assert "--samples" in err
 
 
+def test_oracle_one_sample_exit(capsys):
+    # one sample has no standard error, so no honest error bar
+    code, out, err = run_cli(capsys, "oracle", "--n", "3", "--partition", "1^2", "--method", "mc", "--samples", "1")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--samples: must be at least 2, got 1" in err
+
+
 def test_oracle_negative_seed_exit(capsys):
     argv = ["oracle", "--n", "2", "--partition", "1^2", "--method", "mc", "--samples", "100", "--seed", "-1"]
     code, out, err = run_cli(capsys, *argv)
@@ -281,6 +288,12 @@ def test_linstat_zero_samples_exit(capsys):
     code, out, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--samples", "0")
     assert code == EXIT_CONFIG
     assert out == "" and "--samples" in err
+
+
+def test_linstat_one_sample_exit(capsys):
+    code, out, err = run_cli(capsys, "linstat", "--n", "2", "--nu", "2", "--m", "2", "--f", "0:1", "--samples", "1")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--samples: must be at least 2, got 1" in err
 
 
 def test_threads_zero_exit(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,10 +182,6 @@ def test_budget_guard():
         squarefree_monics(F5, 40)
     with pytest.raises(BudgetExceeded):
         hyperelliptic_rows(F5, 20)
-    # the L-polynomial tables would hold (1 + 5 + ... + 5^4) * 130 000 =
-    # 101 530 000 int8 entries at q = 5, n = 2; refused before any table exists
-    with pytest.raises(BudgetExceeded, match="101530000 entries"):
-        l_polynomials_batch(F5, 2, np.zeros((130_000, 6), dtype=np.int64))
 
 
 def test_budget_outcome_does_not_depend_on_cached_tables():
@@ -291,7 +288,7 @@ def chunk_bytes(field, rows, degree, primes):
 @pytest.mark.parametrize("q,n", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2), (23, 1)])
 def test_chunking_leaves_every_value(monkeypatch, q, n):
     field = PrimeField(q)
-    rows = _orbit_representatives(field, hyperelliptic_rows(field, n))[0]
+    rows = _orbit_representatives(field, 2 * n + 1, squarefree=True)[0]
     degrees = range(1, max(2 * n, 2) + 1)
 
     def values():
@@ -405,6 +402,33 @@ def test_l_polynomials_batch_matches_definition():
                 assert c == want, (q, h)
 
 
+def test_l_polynomials_batch_memory():
+    # the Euler product keeps a few (curves, primes of a block) arrays; int8
+    # tables of (h/F) over the q^i codes of every degree i <= 4 would take
+    # about 43 MB here
+    field = PrimeField(7)
+    rows = hyperelliptic_rows(field, 2)
+    for d in range(1, 5):
+        primes_of_degree(field, d)
+    tracemalloc.start()
+    try:
+        l_polynomials_batch(field, 2, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_l_polynomials_batch_genus_2_at_q11():
+    # 6 300 curves at q = 11, n = 2: tables of (h/F) over the codes of F
+    # would hold (1 + 11 + ... + 11^4) * 6 300 = 101.5 M entries, above 10^8
+    field = PrimeField(11)
+    rows = _orbit_representatives(field, 5, squarefree=True)[0][:6300]
+    coeffs = l_polynomials_batch(field, 2, rows)
+    assert coeffs.shape == (6300, 5) and (coeffs[:, 0] == 1).all()
+    assert all(LPolynomial(11, 2, tuple(c)).functional_equation_ok() for c in coeffs.tolist())
+
+
 @pytest.mark.parametrize("q,j_max", [(3, 4), (5, 3)])
 def test_weighted_char_sums_match_definition(q, j_max):
     # sum over monic Q of degree j of Lambda(Q) (h/Q), every monic h of degree 3;
@@ -422,16 +446,17 @@ def test_weighted_char_sums_match_definition(q, j_max):
 
 
 def test_explicit_formula_exact():
-    for q in (3, 5):
+    # n = 2 brings the Euler product's k = 2 terms of the degree-2 primes
+    # (P^2 and P Q) into c_4; j runs up to 2n+1
+    for q, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
         field = PrimeField(q)
-        rows = hyperelliptic_rows(field, 1)
-        coeffs = l_polynomials_batch(field, 1, rows)
-        for j in (1, 2, 3):
+        rows = hyperelliptic_rows(field, n)
+        coeffs = l_polynomials_batch(field, n, rows)
+        lpolys = [LPolynomial(q, n, tuple(c)) for c in coeffs.tolist()]
+        newton = np.array([frobenius_power_sums(lpoly, 2 * n + 1) for lpoly in lpolys])
+        for j in range(1, 2 * n + 2):
             rhs = weighted_char_sums(field, rows, j, "all_prime_powers")
-            lhs = np.array(
-                [frobenius_power_sums(LPolynomial(q, 1, tuple(int(v) for v in c)), j)[j - 1] for c in coeffs]
-            )
-            assert np.array_equal(lhs, -rhs)
+            assert np.array_equal(newton[:, j - 1], -rhs), (q, n, j)
 
 
 # --- family averages and tuple sums ----------------------------------------
@@ -560,11 +585,15 @@ def test_orbit_sums_equal_full_family_sums(q, n):
     including q | 2n+1 ((3, 1), (5, 2)), where no rows are dropped."""
     field = PrimeField(q)
     rows = hyperelliptic_rows(field, n)
-    reduced, weight = _orbit_representatives(field, rows)
+    reduced, weight = _orbit_representatives(field, 2 * n + 1, squarefree=True)
     assert weight == (1 if (2 * n + 1) % q == 0 else q) and reduced.shape[0] * weight == rows.shape[0]
+    # the code prefix picks the family's rows with c_2n = 0, in the same order
+    assert np.array_equal(reduced, rows if weight == 1 else rows[rows[:, 2 * n] == 0])
+    monic = monic_coeff_matrix(field, 2 * n + 1)
+    monic_reduced, _ = _orbit_representatives(field, 2 * n + 1, squarefree=False)
+    assert np.array_equal(monic_reduced, monic if weight == 1 else monic[monic[:, 2 * n] == 0])
     full_sums = {j: weighted_char_sums(field, rows, j, "all_prime_powers").astype(object) for j in (1, 2)}
     reduced_sums = {j: weighted_char_sums(field, reduced, j, "all_prime_powers").astype(object) for j in (1, 2)}
-    monic = monic_coeff_matrix(field, 2 * n + 1)
     symbols = {j: [symbols_batch(field, monic, p).astype(np.int64) for p in primes_of_degree(field, j)] for j in (1, 2)}
     for text in ("1^1", "1^2", "2^1", "1^1 2^1", "2^2", "1^3 2^1"):
         a = Partition.parse(text)
