@@ -34,6 +34,12 @@ divide d = deg h each orbit holds exactly one h with c_{d-1} = 0, and a sum
 over the family (or over all monic h) is q times the sum over those: the
 codes below q^(d-1), so only their rows are built.  When q divides d every h
 keeps its c_{d-1} and the sums run over all rows.
+The L-polynomials are per curve, but c_i = sum_{deg F = i} (h/F) is kept too,
+since F(x) -> F(x+v) permutes the monic F of each degree: a batch computes
+one row per translation class of its input and copies the result to the
+rest.  A class is named by the smallest code of its members, which holds
+whether or not q divides d (at q = 5, d = 5 the h = x^5 - x + c are classes
+of one).  Input rows are read mod q and must be monic.
 
 The main consumers:
 
@@ -308,6 +314,15 @@ def _square_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
     return out % field.q
 
 
+def _residue_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
+    """The rows mod q: residue products, float64 or int64, are exact only
+    for entries in [0, q).  Rows already in range come back uncopied."""
+    rows = np.asarray(rows)
+    if rows.size and (rows.min() < 0 or rows.max() >= field.q):
+        return rows % field.q
+    return rows
+
+
 def char_table(field: PrimeField, p: Poly) -> np.ndarray:
     """Quadratic-character table of F_q[x]/(p) indexed by base-q residue code:
     the symbols of all residues, as rows of degree < deg p, by a one-prime
@@ -319,10 +334,10 @@ def char_table(field: PrimeField, p: Poly) -> np.ndarray:
 
 
 def symbols_batch(field: PrimeField, rows: np.ndarray, p: Poly) -> np.ndarray:
-    """(h/p) for every coefficient row h (entries in [0, q)): a one-prime
-    chunk of ``_chunk_symbols``; p must be a monic prime (PreconditionViolated
+    """(h/p) for every coefficient row h (read mod q): a one-prime chunk of
+    ``_chunk_symbols``; p must be a monic prime (PreconditionViolated
     otherwise)."""
-    return _chunk_symbols(field, rows, _one_prime(field, p))[:, 0]
+    return _chunk_symbols(field, _residue_rows(field, rows), _one_prime(field, p))[:, 0]
 
 
 def _one_prime(field: PrimeField, p: Poly) -> np.ndarray:
@@ -365,7 +380,7 @@ def _reduced_codes(field: PrimeField, rows: np.ndarray, powers: np.ndarray) -> n
     flat = powers[: deg_in + 1].reshape(deg_in + 1, -1)
     residues = (np.asarray(rows, dtype=np.float64) @ flat).astype(np.int64)
     residues %= q
-    residues = residues.reshape(rows.shape[0], -1, d)
+    residues = residues.reshape(rows.shape[0], powers.shape[1], d)
     codes = residues[..., d - 1]
     for i in range(d - 2, -1, -1):  # Horner: c_0 is the lowest base-q digit
         codes = codes * q + residues[..., i]
@@ -431,8 +446,9 @@ def weighted_char_sums(field: PrimeField, rows: np.ndarray, j: int, mode: Mode) 
     """sum_{deg Q = j} Lambda(Q) (h/Q) for every row h, as exact int64.
 
     Q = P^e has Lambda(Q) = deg P, and (h/P^e) is (h/P) for odd e and
-    [P does not divide h] for even e.
+    [P does not divide h] for even e.  Rows are read mod q.
     """
+    rows = _residue_rows(field, rows)
     acc = np.zeros(rows.shape[0], dtype=np.int64)
     for e, d in _power_degrees(nonnegative_int(j, "j"), mode):
         odd, even = _prime_sums(field, rows, d)
@@ -466,8 +482,30 @@ class LPolynomial:
         return 1.0 / np.roots(np.array(self.c[::-1], dtype=float))
 
 
+def _translation_classes(field: PrimeField, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One monic row per class of h(x) -> h(x+v) among the given monic rows
+    (entries in [0, q)), in code order, and each row's class index.
+
+    A class is named by the smallest base-q code of its members, which needs
+    no rule for q dividing deg h.  h(x+v) has c'_k = sum_i c_i C(i, k)
+    v^(i-k); the loop over v keeps only a running minimum, O(rows deg) memory.
+    """
+    q, degree = field.q, rows.shape[1] - 1
+    binom = np.array([[comb(i, k) % q for k in range(degree)] for i in range(degree + 1)], dtype=np.int64)
+    exponent = np.subtract.outer(np.arange(degree + 1), np.arange(degree)).clip(0)
+    place = q ** np.arange(degree, dtype=np.int64)
+    smallest = np.full(rows.shape[0], q**degree, dtype=np.int64)
+    for v in range(q):
+        shift = binom * np.array([pow(v, e, q) for e in range(degree + 1)])[exponent] % q
+        np.minimum(smallest, (rows @ shift % q) @ place, out=smallest)
+    codes, inverse = np.unique(smallest, return_inverse=True)
+    return _code_rows(field, codes, degree), inverse
+
+
 def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarray:
-    """c_0..c_{2n} for every (squarefree monic, degree 2n+1) coefficient row.
+    """c_0..c_{2n} for every (squarefree monic, degree 2n+1) coefficient row;
+    rows are read mod q, and a top coefficient other than 1 mod q raises
+    PreconditionViolated.
 
     c_i = sum_{deg F = i} (h/F) are the coefficients of the Euler product
     sum_F (h/F) u^deg F = prod_P (1 - (h/P) u^deg P)^-1, truncated at u^2n:
@@ -479,10 +517,20 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
     block's primes S_k is a running sum on top of its value before the
     block; the top k needs only the block's total.  Every partial value is
     at most the number of monic F of degree <= 2n, so int64 is exact.
+
+    F(x) -> F(x+v) permutes the monic F of each degree and keeps (h/F) as
+    h(x) -> h(x+v), so c_i is constant on each translation class of rows:
+    the product runs once per class (``_translation_classes``), whether or
+    not q divides 2n+1, and each class's coefficients are copied to its rows.
     """
-    if rows.shape[1] != 2 * n + 2:
+    top = 2 * nonnegative_int(n, "n")
+    _check_codes(field, top)  # the primes of degree 2n are read; raise before any class code is formed
+    rows = _residue_rows(field, rows)
+    if rows.shape[1] != top + 2:
         raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
-    top = 2 * n
+    if not (rows[:, -1] == 1).all():
+        raise PreconditionViolated("rows must be monic: a top coefficient is not 1 mod q")
+    rows, inverse = _translation_classes(field, rows)
     series = np.zeros((rows.shape[0], top + 1), dtype=np.int64)
     series[:, 0] = 1
     for d in range(1, top + 1):
@@ -500,7 +548,7 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
         for k in range(1, kmax + 1):
             product[:, d * k :] += sums[k, :, None] * series[:, : top + 1 - d * k]
         series = product
-    return series
+    return series[inverse]
 
 
 def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:

@@ -11,8 +11,9 @@ per sample.
 
 The F_q helpers at the end work one polynomial at a time (factorization,
 Euler's criterion, the von Mangoldt function, the prime powers of one
-degree) where the library works by sieves over whole tables or by closed
-forms in the prime counts; the tests check the library against them.
+degree, the translates of one polynomial) where the library works by sieves
+over whole tables or by closed forms in the prime counts; the tests check
+the library against them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from symp.ffield import (
     poly_divmod,
     poly_is_monic,
     poly_mod,
+    poly_mul,
     poly_pow_mod,
     poly_trim,
     primes_of_degree,
@@ -300,6 +302,19 @@ def jacobi_symbol(field: PrimeField, h: Poly, f: Poly) -> int:
         if e % 2 == 1:
             result *= s
     return result
+
+
+def translates(field: PrimeField, f: Poly) -> frozenset[Poly]:
+    """{f(x + v) : v in F_q}, each by Horner's rule in tuple arithmetic."""
+    out = set()
+    for v in range(field.q):
+        acc: Poly = ()
+        for c in reversed(f):
+            shifted = list(poly_mul(field, acc, (v, 1))) or [0]
+            shifted[0] = (shifted[0] + c) % field.q
+            acc = poly_trim(shifted)
+        out.add(acc)
+    return frozenset(out)
 
 
 def squarefree_monics(field: PrimeField, degree: int) -> list[Poly]:

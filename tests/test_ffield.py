@@ -19,6 +19,7 @@ from oracles import (
     prime_power_terms,
     rows_to_polys,
     squarefree_monics,
+    translates,
     von_mangoldt,
 )
 from symp import ffield
@@ -31,6 +32,7 @@ from symp.ffield import (
     _even_words,
     _orbit_representatives,
     _prime_sums,
+    _translation_classes,
     LPolynomial,
     PrimeField,
     char_sum_distinct_primes,
@@ -388,18 +390,82 @@ def test_l_polynomials_batch_pinned():
     assert digest == "0c5883ce7d1680dcff2a7e74b7d69516d8fd7c4f3139207d4f1577befed92713"
 
 
+def definition_coeffs(field, n, h):
+    """c_i = sum over monic F of degree i of the Jacobi symbol (h/F), i <= 2n."""
+    return [1] + [sum(jacobi_symbol(field, h, f) for f in monic_polys(field, i)) for i in range(1, 2 * n + 1)]
+
+
 def test_l_polynomials_batch_matches_definition():
-    # c_i = sum over monic F of degree i of the Jacobi symbol (h/F), on every curve
     for q, n_max in ((3, 2), (5, 1)):
         field = PrimeField(q)
         for n in range(1, n_max + 1):
             rows = hyperelliptic_rows(field, n)
             coeffs = l_polynomials_batch(field, n, rows)
             for h, c in zip(rows_to_polys(rows), coeffs.tolist()):
-                want = [1] + [
-                    sum(jacobi_symbol(field, h, f) for f in monic_polys(field, i)) for i in range(1, 2 * n + 1)
-                ]
-                assert c == want, (q, h)
+                assert c == definition_coeffs(field, n, h), (q, h)
+
+
+@pytest.mark.parametrize("q,n,classes", [(3, 1, 8), (7, 1, 42), (13, 1, 156), (5, 2, 504), (7, 2, 2058)])
+def test_translation_classes_match_oracle(q, n, classes):
+    # classes of h(x) -> h(x+v) in the family; q divides deg h at (3, 1) and (5, 2)
+    field = PrimeField(q)
+    rows = hyperelliptic_rows(field, n)
+    reps, inverse = _translation_classes(field, rows)
+    orbits = [translates(field, h) for h in rows_to_polys(rows)]
+    assert reps.shape[0] == len(set(orbits)) == classes
+    assert len(set(zip(inverse.tolist(), orbits))) == classes  # each class is one orbit
+    named = rows_to_polys(reps)
+    assert all(named[c] in orbit for c, orbit in zip(inverse.tolist(), orbits))
+
+
+@pytest.mark.parametrize("q,n", [(7, 1), (3, 1), (5, 2)])
+def test_l_polynomials_batch_on_a_shuffled_subset(q, n):
+    # a whole class, a class of one where q divides deg h (x^q - x + c at
+    # (5, 2)), lone members of their classes and repeated rows, shuffled:
+    # against the definition row by row
+    field = PrimeField(q)
+    rows = hyperelliptic_rows(field, n)
+    polys = rows_to_polys(rows)
+    orbits = [translates(field, h) for h in polys]
+    rng = np.random.default_rng(10 * q + n)
+    picked = rng.choice(len(polys), size=4, replace=False)
+    whole = [i for i, orbit in enumerate(orbits) if orbit == orbits[picked[0]]]
+    fixed = [i for i, orbit in enumerate(orbits) if len(orbit) == 1][:1]
+    index = rng.permutation(np.concatenate([whole, fixed, picked[1:], picked[1:3]]).astype(int))
+    coeffs = l_polynomials_batch(field, n, rows[index])
+    assert coeffs.shape == (index.size, 2 * n + 1)
+    for i, c in zip(index.tolist(), coeffs.tolist()):
+        assert c == definition_coeffs(field, n, polys[i]), (q, polys[i])
+
+
+def test_no_rows():
+    for n in (0, 1, 2):
+        coeffs = l_polynomials_batch(F5, n, np.zeros((0, 2 * n + 2), dtype=np.int64))
+        assert coeffs.shape == (0, 2 * n + 1) and coeffs.dtype == np.int64
+    assert weighted_char_sums(F5, np.zeros((0, 4), dtype=np.int64), 2, "all_prime_powers").shape == (0,)
+
+
+def test_rows_are_read_mod_q():
+    # float64 and int64 residue products are exact only for entries in [0, q)
+    rows = hyperelliptic_rows(F5, 2)
+    shifted = rows.copy()
+    shifted[:, 0] += 5 * 2**59
+    shifted[:, 1] -= 5
+    shifted[:, -1] += 5
+    assert np.array_equal(l_polynomials_batch(F5, 2, shifted), l_polynomials_batch(F5, 2, rows))
+    for j in (1, 2):
+        want = weighted_char_sums(F5, rows, j, "all_prime_powers")
+        assert np.array_equal(weighted_char_sums(F5, shifted, j, "all_prime_powers"), want), j
+    p = primes_of_degree(F5, 2)[0]
+    assert np.array_equal(symbols_batch(F5, shifted, p), symbols_batch(F5, rows, p))
+
+
+def test_l_polynomials_batch_budget_comes_first():
+    # q^2 > 10^8: refused at entry, before any prime table is built
+    field = PrimeField(10007)
+    with pytest.raises(BudgetExceeded, match="q\\^2 = 100140049"):
+        l_polynomials_batch(field, 1, np.array([[1, 1, 0, 1]]))
+    assert not field._primes
 
 
 def test_l_polynomials_batch_memory():
@@ -522,6 +588,7 @@ def test_unknown_mode_is_rejected():
         (lambda: primes_of_degree(F5, 2.0), "degree = 2.0 is not an integer"),
         (lambda: weighted_char_sums(F5, hyperelliptic_rows(F5, 1), -2, "all_prime_powers"), "j = -2 is negative"),
         (lambda: l_polynomials_batch(F5, 2, hyperelliptic_rows(F5, 1)), "rows of degree 3 for n = 2"),
+        (lambda: l_polynomials_batch(F5, 1, 2 * hyperelliptic_rows(F5, 1)), "rows must be monic"),
     ],
     ids=[
         "empirical_negative_n",
@@ -534,6 +601,7 @@ def test_unknown_mode_is_rejected():
         "primes_fractional_degree",
         "charsum_negative_j",
         "lpoly_rows_of_other_degree",
+        "lpoly_non_monic_rows",
     ],
 )
 def test_bad_n_or_degree_is_rejected(call, fault):
