@@ -316,8 +316,11 @@ def _square_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
 
 def _residue_rows(field: PrimeField, rows: np.ndarray) -> np.ndarray:
     """The rows mod q: residue products, float64 or int64, are exact only
-    for entries in [0, q).  Rows already in range come back uncopied."""
+    for entries in [0, q).  Rows already in range come back uncopied; rows
+    that are not a 2-D integer array raise PreconditionViolated."""
     rows = np.asarray(rows)
+    if rows.ndim != 2 or not np.issubdtype(rows.dtype, np.integer):
+        raise PreconditionViolated(f"rows must be a 2-D integer array, got shape {rows.shape} and dtype {rows.dtype}")
     if rows.size and (rows.min() < 0 or rows.max() >= field.q):
         return rows % field.q
     return rows
@@ -530,6 +533,8 @@ def l_polynomials_batch(field: PrimeField, n: int, rows: np.ndarray) -> np.ndarr
         raise PreconditionViolated(f"rows of degree {rows.shape[1] - 1} for n = {n}: need degree 2n+1")
     if not (rows[:, -1] == 1).all():
         raise PreconditionViolated("rows must be monic: a top coefficient is not 1 mod q")
+    if not top:  # genus 0: L = 1, with no class to form
+        return np.ones((rows.shape[0], 1), dtype=np.int64)
     rows, inverse = _translation_classes(field, rows)
     series = np.zeros((rows.shape[0], top + 1), dtype=np.int64)
     series[:, 0] = 1
@@ -566,16 +571,15 @@ def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:
 
 
 def frobenius_power_sums(lpoly: LPolynomial, j_max: int) -> list[int]:
-    """Power sums s_j = sum_i alpha_i^j, exactly, via Newton's identities."""
-    elem = [0] * (j_max + 1)
-    for i in range(min(j_max, 2 * lpoly.n) + 1):
-        elem[i] = (-1) ** i * lpoly.c[i]
+    """Power sums s_j = sum_i alpha_i^j, exactly, via Newton's identities
+    read off L(z) = sum_i c_i z^i = prod_i (1 - alpha_i z):
+    s_k = -k c_k - sum_{0<i<k} c_i s_{k-i}, with c_i = 0 past 2n."""
+    c = lpoly.c[: j_max + 1]
     sums = [0] * (j_max + 1)
     for k in range(1, j_max + 1):
-        acc = (-1) ** (k - 1) * k * elem[k] if k <= 2 * lpoly.n else 0
-        for i in range(1, k):
-            if i <= 2 * lpoly.n:
-                acc += (-1) ** (i - 1) * elem[i] * sums[k - i]
+        acc = -k * c[k] if k < len(c) else 0
+        for i in range(1, min(k, len(c))):
+            acc -= c[i] * sums[k - i]
         sums[k] = acc
     return sums[1:]
 

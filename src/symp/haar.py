@@ -64,8 +64,8 @@ class MCConfig:
     rng_seed: int
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if not isinstance(self.sample_count, (int, np.integer)) or self.sample_count < 1:
+            raise ValueError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
         if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
@@ -309,8 +309,10 @@ def run_mc(
     blocks are merged in block order by the pairwise update of Chan, Golub and LeVeque (1983), which
     avoids the cancellation of sum(x^2) - N mean^2.  The block decomposition
     and the merge order are fixed, so the output is identical for every
-    ``threads`` value.  ``cfg.n`` must equal ``n``.
+    ``threads`` value.  ``n`` must be a non-negative integer and equal
+    ``cfg.n``.
     """
+    n = nonnegative_int(n, "n")
     if cfg.n != n:
         raise PreconditionViolated(f"MCConfig is for n = {cfg.n}, not n = {n}")
     if not stat_args:
@@ -343,6 +345,7 @@ def run_mc(
 
 def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[float, float]:
     """Sample mean and standard error of prod_j tr(U^j)^{a_j} over Haar USp(2n)."""
+    n = nonnegative_int(n, "n")
     if not a and cfg.n == n:  # run_mc rejects a config for another n
         return (1.0, 0.0)
     exponents = tuple(m for _, m in a.items)

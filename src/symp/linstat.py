@@ -185,10 +185,13 @@ def statistic_moments_mc(
 ) -> list[tuple[float, float]]:
     """Monte Carlo (estimate, stderr) of E[W^m] for each m, from one shared
     sample stream (identical to separate equal-seed runs, just cheaper).
-    n and every m must be non-negative integers and nu an integer."""
+    n and every m must be non-negative integers and nu an integer; no
+    orders give [] without a draw."""
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     ms = tuple(nonnegative_int(m, "moment order m") for m in ms)
+    if not ms and cfg.n == n:  # run_mc rejects a config for another n
+        return []
     folded = sorted((i, v) for i, v in _folded_weights(nu, f, float).items() if v)
     indices = tuple(i for i, _ in folded)
     weights = tuple(v for _, v in folded)

@@ -10,7 +10,9 @@ where ``g`` is the moment of the shifted-Gaussian model (``gaussian_moment``
 here) and ``phi`` is the finite-n correction (``nongaussian_correction``).
 
 Both are evaluated by one size-indexed dynamic programme,
-``moment_usp_sum``.  Writing c = a - b and expanding phi's inner sum over
+``moment_usp_sum``: the defining sum at every size, and the Haar moment
+where the formula is proved (ROADMAP.md records it holding through 4n+5
+and failing at 4n+6).  Writing c = a - b and expanding phi's inner sum over
 d <= c, ``C(a,b) C(c,d) = prod_j a_j!/(b_j! d_j! e_j!)`` with e = c - d, so
 every factor splits per part size except phi's weight, which depends only on
 (size c, size d): 1 for empty c, -1 for even size c with
@@ -131,8 +133,9 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
 
         sum_k m!/(k_0! prod_j k_j!) zero_weight^k_0 prod_j w^k_j moment_usp(n, k)
 
-    for exact integer weights.  Raises OutOfRange unless every k has size
-    <= 4n+1, where no formula is claimed.
+    for exact integer weights, with moment_usp(n, k) the defining sum at
+    every size: a Haar moment only where size(k) <= 4n+1, which the callers
+    that promise one check themselves.
 
     Each k_j splits as b + d + e (b the Gaussian part, c = d + e the
     correction part, d the inner sum of phi), and the weight
@@ -141,12 +144,13 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     blocks with states (parts placed t, size c, size d) sums every split:
     block j moves a state by each entry (j(d+e), j d, weight) of its
     transfer table for k, times C(t+k, k) for the interleaving.  A state
-    with c nonempty survives only while phi can still be nonzero at the
-    end: size d <= n-1 and size c can still reach 2n+2+2 size d.  Adding
-    the entry changes that slack by j(e-d), so a table lists its entries in
-    that order, largest first, and the first one that falls short ends the
-    state's pass; the entry b = k, which leaves c as it is, is kept apart
-    so that a state with empty c always survives.
+    with c nonempty survives only while size c, plus all the parts still to
+    place could add, reaches 2n+2+2 size d: the only prune, which up to size
+    4n+1 forces size d <= n-1.  Adding the entry changes that slack by
+    j(e-d), so a table lists its entries in that order, largest first, and
+    the first one that falls short ends the state's pass; the entry b = k,
+    which leaves c as it is, is kept apart so that a state with empty c
+    always survives.
     """
     n = nonnegative_int(n, "n")
     m = nonnegative_int(m, "m")
@@ -155,15 +159,11 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     blocks = sorted(blocks, key=itemgetter(0), reverse=True)
     fixed = _check_blocks(m, blocks)
     if fixed:
-        largest = sum(j * count for j, _, count in blocks)
         states = {(0, 0, 0): 1}
-        later, end = largest, 0
+        later, end = sum(j * count for j, _, count in blocks), 0
     else:
-        largest = m * blocks[0][0] if blocks else 0
         states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
         later, end = 0, m
-    if largest > 4 * n + 1:
-        raise OutOfRange(f"index sequences of size up to {largest} exceed 4n+1 = {4 * n + 1}")
     need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
     for j, w, count in blocks:
         # reach(u) = j (end - u) + later: the most size this block and the
@@ -188,10 +188,7 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
                 for slack, dc, dd, coef in entries:
                     if slack < lim:
                         break
-                    ud = sd + dd
-                    if ud >= n:
-                        continue
-                    key = (u, sc + dc, ud)
+                    key = (u, sc + dc, sd + dd)
                     nxt[key] = get(key, 0) + f * coef
         states = nxt
     total = 0

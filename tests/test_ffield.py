@@ -460,6 +460,38 @@ def test_rows_are_read_mod_q():
     assert np.array_equal(symbols_batch(F5, shifted, p), symbols_batch(F5, rows, p))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rows: l_polynomials_batch(F5, 1, rows),
+        lambda rows: weighted_char_sums(F5, rows, 1, "all_prime_powers"),
+        lambda rows: symbols_batch(F5, rows, (1, 1)),
+    ],
+    ids=["l_polynomials_batch", "weighted_char_sums", "symbols_batch"],
+)
+@pytest.mark.parametrize(
+    "rows,fault",
+    [
+        (np.array([1, 0, 0, 1], dtype=np.int64), "shape \\(4,\\) and dtype int64"),
+        (np.array([[1, 0, 0, 1]], dtype=float), "shape \\(1, 4\\) and dtype float64"),
+    ],
+    ids=["one_row_1d", "float_rows"],
+)
+def test_rows_must_be_a_2d_integer_array(call, rows, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        call(rows)
+
+
+def test_l_polynomial_n0_forms_no_translation_class(monkeypatch):
+    # L = 1 at genus 0, where every row is one class: no q-shift loop at q = 100 003
+    def refuse(*args):
+        raise AssertionError("n = 0 needs no translation classes")
+
+    monkeypatch.setattr(ffield, "_translation_classes", refuse)
+    assert l_polynomial(PrimeField(100003), (5, 1)).c == (1,)
+    assert np.array_equal(l_polynomials_batch(F5, 0, np.array([[1, 1], [3, 6]])), [[1], [1]])
+
+
 def test_l_polynomials_batch_budget_comes_first():
     # q^2 > 10^8: refused at entry, before any prime table is built
     field = PrimeField(10007)

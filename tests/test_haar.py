@@ -252,6 +252,28 @@ def test_mc_config_validation():
             MCConfig(2, 10, seed)
 
 
+def test_mc_config_rejects_a_fractional_sample_count():
+    with pytest.raises(ValueError, match="sample_count must be an integer >= 1, got 2.5"):
+        MCConfig(1, 2.5, 0)
+
+
+def test_moment_mc_rejects_a_negative_n():
+    # the empty product too: n is checked before its early return
+    cfg = MCConfig(-1, 10, 0)
+    for a in (Partition({1: 2}), Partition()):
+        with pytest.raises(PreconditionViolated, match="n = -1 is negative"):
+            moment_mc(-1, a, cfg)
+    with pytest.raises(PreconditionViolated, match="n = -1 is negative"):
+        run_mc(-1, cfg, _offset_stat, ((1,), 0.0), 1)
+
+
+def test_moment_mc_rejects_a_fractional_n():
+    cfg = MCConfig(1.5, 10, 0)
+    for a in (Partition({1: 2}), Partition()):
+        with pytest.raises(PreconditionViolated, match="n = 1.5 is not an integer"):
+            moment_mc(1.5, a, cfg)
+
+
 def test_stream_and_engine_share_samples():
     # moment_mc must be the plain sample mean over the angles of its own
     # draws, for traces within the bandwidth of J at n = 2 and beyond it

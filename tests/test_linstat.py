@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import angle_stream, l2_norm, linear_statistic, moment_main_term
+from symp import linstat
 from symp.errors import OutOfRange, ParseError, PreconditionViolated
 from symp.haar import MCConfig, moment_quadrature
 from symp.linstat import (
@@ -124,6 +125,14 @@ def test_exact_moment_rejects_negative_order():
 def test_exact_moment_rejects_bad_n_and_m(n, m, fault):
     with pytest.raises(PreconditionViolated, match=fault):
         statistic_moment_exact(n, 0, m, FH)
+
+
+def test_no_moment_orders_draw_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no order needs a sample")
+
+    monkeypatch.setattr(linstat, "run_mc", refuse)
+    assert statistic_moments_mc(2, 1, (), FH, MCConfig(2, 10, 0)) == []
 
 
 @pytest.mark.parametrize(

@@ -163,12 +163,45 @@ def test_moment_usp_sum_rejects_malformed_blocks(m, blocks, fault):
         moment_usp_sum(2, m, blocks)
 
 
-def test_moment_usp_sum_rejects_sizes_past_4n_plus_1():
-    assert moment_usp_sum(1, 4, [(1, 1, 4)]) == moment_usp(1, Partition({1: 4})) == 2
-    with pytest.raises(OutOfRange, match="size up to 6 exceed 4n\\+1 = 5"):
-        moment_usp_sum(1, 6, [(1, 1, 6)])
-    with pytest.raises(OutOfRange, match="size up to 6 exceed 4n\\+1 = 5"):
-        moment_usp_sum(1, 3, [(1, 1, None), (2, 1, None)])
+def _defining_sum_by_engine(n, a):
+    """moment_usp_sum over a's index sequences, divided by their number
+    m!/prod_j a_j!, as moment_usp does, but with no range check."""
+    sequences = factorial(a.length)
+    for _, k in a.items:
+        sequences //= factorial(k)
+    return moment_usp_sum(n, a.length, [(j, 1, k) for j, k in a.items]) // sequences
+
+
+PAST_4N_PLUS_1 = [
+    (10, {1: 42}),
+    (10, {1: 44}),
+    (10, {2: 22}),
+    (10, {1: 20, 2: 12}),
+    (30, {1: 122}),
+    (30, {1: 124}),
+    (30, {2: 62}),
+]
+
+
+def test_moment_usp_sum_is_the_defining_sum_past_4n_plus_1():
+    # the engine has no range of its own: at sizes 4n+2..4n+8, where no
+    # formula is proved, it still equals the defining sum term by term
+    checked = 0
+    for n in range(1, 4):
+        for a in partitions_of_size_at_most(4 * n + 8):
+            if a.size > 4 * n + 1:
+                assert _defining_sum_by_engine(n, a) == moment_usp_by_definition(n, a), (n, a)
+                checked += 1
+    assert checked == 3412
+    for n, parts in PAST_4N_PLUS_1:
+        a = Partition(parts)
+        assert _defining_sum_by_engine(n, a) == moment_usp_by_definition(n, a), (n, a)
+    # free counts: the multinomial sum of the definition over 1^k1 2^k2, k1 + k2 = 3
+    expected = sum(
+        factorial(3) // (factorial(k) * factorial(3 - k)) * moment_usp_by_definition(1, Partition({1: k, 2: 3 - k}))
+        for k in range(4)
+    )
+    assert moment_usp_sum(1, 3, [(1, 1, None), (2, 1, None)]) == expected
 
 
 @pytest.mark.parametrize("n,fault", [(1.5, "n = 1.5 is not an integer"), (-1, "n = -1 is negative")])
