@@ -17,17 +17,19 @@ d <= c, ``C(a,b) C(c,d) = prod_j a_j!/(b_j! d_j! e_j!)`` with e = c - d, so
 every factor splits per part size except phi's weight, which depends only on
 (size c, size d): 1 for empty c, -1 for even size c with
 size d <= size c/2 - n - 1, else 0.  The programme runs over the part sizes
-with states (parts placed, size c, size d) and drops a state as soon as that
-weight can no longer be nonzero.  Each part size makes one pass over the
-states: a memoized transfer table, keyed only by (j, w, k), lists every
-split k = b + d + e of its k parts as a step (size c += j(d+e), size d +=
-j d) with its integer weight, sorted by how much the step adds to the slack
-size c + reach - (2n+2) - 2 size d, so a state's pass stops at the first
-step that leaves phi no chance.  In the Gaussian range size(a) <= 2n+1 only
-the empty-c state survives, which is how the formula collapses to g(a).  The
-same programme sums the linear-statistic expansion of :mod:`symp.linstat`.
-Everything in this module is exact integer arithmetic; the only rounding
-anywhere lives in the numerical oracles of :mod:`symp.haar`.
+and drops a state as soon as that weight can no longer be nonzero.  With
+fixed counts, as in ``moment_usp``, every state has placed the same parts,
+so the states are (size c, size d) alone and the result is one moment;
+with free counts, as in :mod:`symp.linstat`, they add the parts placed, t.
+Each part size makes one pass over the states: a memoized transfer table,
+keyed only by (j, w, k), lists every split k = b + d + e of its k parts as
+a step (size c += j(d+e), size d += j d) with its integer weight, sorted by
+how much the step adds to the slack size c + reach - (2n+2) - 2 size d, so
+a state's pass stops at the first step that leaves phi no chance.  In the
+Gaussian range size(a) <= 2n+1 only the empty-c state survives, which is
+how the formula collapses to g(a).  Everything in this module is exact
+integer arithmetic; the only rounding anywhere lives in the numerical
+oracles of :mod:`symp.haar`.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ def nongaussian_correction(n: int, c: Partition) -> int:
 
     1 when c is empty, 0 when size(c) is odd, and otherwise
     ``-sum_{d <= c, size(d) <= size(c)/2 - n - 1} (-1)^len(d) C(c, d)``
-    (0 when the constraint set is empty).
+    (0 when the constraint set is empty).  PreconditionViolated unless n is
+    a non-negative integer.
     """
+    n = nonnegative_int(n, "n")
     total_size = c.size
     if total_size == 0:
         return 1
@@ -125,62 +129,57 @@ def nonnegative_int(value, name: str) -> int:
 def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     """Sum over index sequences of length m of the weighted USp moments.
 
-    ``blocks`` lists ``(j, w, count)`` for distinct part sizes j >= 1; a
-    sequence places k_j of its m indices on j and the remaining k_0 on the
-    index 0, whose trace is the constant ``zero_weight``.  Either every
-    count is an int, k_j == count and the counts sum to m, or every count is
-    None, and k_j is free.  Returns
+    ``blocks`` lists ``(j, w, count)`` for distinct part sizes j >= 1 and
+    integer weights w; a sequence places k_j of its m indices on j and the
+    remaining k_0 on the index 0, whose trace is the integer constant
+    ``zero_weight``.  Either every count is an int, k_j == count and the
+    counts sum to m, or every count is None, and k_j is free.  Returns
 
         sum_k m!/(k_0! prod_j k_j!) zero_weight^k_0 prod_j w^k_j moment_usp(n, k)
 
-    for exact integer weights, with moment_usp(n, k) the defining sum at
-    every size: a Haar moment only where size(k) <= 4n+1, which the callers
-    that promise one check themselves.
+    with moment_usp(n, k) the defining sum at every size: a Haar moment
+    only where size(k) <= 4n+1, which the callers that promise one check
+    themselves.
 
     Each k_j splits as b + d + e (b the Gaussian part, c = d + e the
     correction part, d the inner sum of phi), and the weight
     ``C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k`` factors per j.  Only phi
-    couples the part sizes, through (size c, size d), so one pass over the
-    blocks with states (parts placed t, size c, size d) sums every split:
-    block j moves a state by each entry (j(d+e), j d, weight) of its
-    transfer table for k, times C(t+k, k) for the interleaving.  A state
-    with c nonempty survives only while size c, plus all the parts still to
-    place could add, reaches 2n+2+2 size d: the only prune, which up to size
-    4n+1 forces size d <= n-1.  Adding the entry changes that slack by
-    j(e-d), so a table lists its entries in that order, largest first, and
-    the first one that falls short ends the state's pass; the entry b = k,
-    which leaves c as it is, is kept apart so that a state with empty c
-    always survives.
+    couples the part sizes, through (size c, size d).  With fixed counts
+    the sum is the multinomial m!/prod_j k_j! times one moment, which
+    ``_fixed_sum`` computes over states (size c, size d).  With free counts
+    one pass over the blocks runs over states (parts placed t, size c,
+    size d): block j moves a state by each entry (j(d+e), j d, weight) of
+    its transfer table for every k with t + k <= m, times C(t+k, k) for
+    the interleaving.  Both prune alike: a state with c nonempty survives
+    only while size c, plus all the parts still to place could add, reaches
+    2n+2+2 size d, which up to size 4n+1 forces size d <= n-1.
     """
     n = nonnegative_int(n, "n")
     m = nonnegative_int(m, "m")
+    zero_weight = integer(zero_weight, "zero_weight")
     # widest part first: what the remaining blocks can still add to size c
     # then shrinks fastest, and so does the set of surviving states
-    blocks = sorted(blocks, key=itemgetter(0), reverse=True)
-    fixed = _check_blocks(m, blocks)
-    if fixed:
-        states = {(0, 0, 0): 1}
-        later, end = sum(j * count for j, _, count in blocks), 0
-    else:
-        states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
-        later, end = 0, m
+    blocks = sorted([(j, integer(w, "block weight"), count) for j, w, count in blocks], key=itemgetter(0), reverse=True)
     need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
-    for j, w, count in blocks:
-        # reach(u) = j (end - u) + later: the most size this block and the
-        # later ones can still add once u parts are placed
-        if fixed:
-            end += count
-            later -= j * count
-        tables = [(k, *_transfer_table(j, w, k)) for k in ((count,) if fixed else range(m + 1))]
+    if _check_blocks(m, blocks):
+        sequences = factorial(m)
+        for _, _, count in blocks:
+            sequences //= factorial(count)
+        return sequences * _fixed_sum(need, blocks)
+    states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
+    for j, w, _ in blocks:
+        tables = [(k, *_transfer_table(j, w, k)) for k in range(m + 1)]
         nxt: dict[tuple[int, int, int], int] = {}
         get = nxt.get
         for (t, sc, sd), v in states.items():
-            short = need + 2 * sd - sc - later - j * end
+            short = need + 2 * sd - sc - j * m
             for k, whole, entries in tables:
                 u = t + k
                 if u > m:
                     break
-                lim = short + j * u  # need + 2 sd - sc - reach(u): the slack an entry needs
+                # need + 2 sd - sc - j (m - u): the slack an entry needs, as
+                # each of the m - u parts left adds at most j, the widest size left
+                lim = short + j * u
                 f = v * comb(u, k)
                 if whole and (not sc or lim <= 0):
                     key = (u, sc, sd)
@@ -191,10 +190,48 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
                     key = (u, sc + dc, sd + dd)
                     nxt[key] = get(key, 0) + f * coef
         states = nxt
+    return _phi_total(need, ((key[1:], v) for key, v in states.items() if key[0] == m))
+
+
+def _fixed_sum(need: int, blocks) -> int:
+    """The defining sum of the moment of one partition: ``blocks`` lists
+    (j, w, k) for each part size j with k parts of weight w, widest first,
+    and phi(n, c) needs size c >= need + 2 size d.
+
+    Every state has then placed the same parts, so states are keyed by
+    (size c, size d) alone, with no interleaving factor.  Once block j is
+    placed the later blocks can still add ``later`` to size c, so an entry
+    of its transfer table must gain the slack ``lim = need - later + 2 sd -
+    sc``; the entries come largest slack j(e-d) first and the first one that
+    falls short ends the state's pass.  The entry b = k, which leaves c as
+    it is, is kept apart so that a state with empty c always survives.
+    """
+    later = sum(j * k for j, _, k in blocks)
+    states = {(0, 0): 1}
+    for j, w, k in blocks:
+        later -= j * k
+        whole, entries = _transfer_table(j, w, k)
+        base = need - later
+        nxt: dict[tuple[int, int], int] = {}
+        get = nxt.get
+        for (sc, sd), v in states.items():
+            lim = base + 2 * sd - sc
+            if whole and (not sc or lim <= 0):
+                nxt[sc, sd] = get((sc, sd), 0) + v * whole
+            for slack, dc, dd, coef in entries:
+                if slack < lim:
+                    break
+                key = (sc + dc, sd + dd)
+                nxt[key] = get(key, 0) + v * coef
+        states = nxt
+    return _phi_total(need, states.items())
+
+
+def _phi_total(need: int, states) -> int:
+    """Sum of v times phi's weight over the final ((size c, size d), v):
+    1 for empty c, -1 for even size c >= need + 2 size d, else 0."""
     total = 0
-    for (t, sc, sd), v in states.items():
-        if t != m:
-            continue
+    for (sc, sd), v in states:
         if sc == 0:
             total += v
         elif sc % 2 == 0 and sc >= need + 2 * sd:
@@ -228,7 +265,7 @@ def _check_blocks(m: int, blocks) -> bool:
 
 @lru_cache(maxsize=256)
 def _transfer_table(j: int, w: int, k: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """How k parts of size j and weight w move a state (t, size c, size d).
+    """How k parts of size j and weight w move a state's (size c, size d).
 
     Returns the weight of the split b = k, which leaves c as it is, and the
     entries (slack j(e-d), size c step j(d+e), size d step j d, weight) of
@@ -253,16 +290,14 @@ def moment_usp(n: int, a: Partition) -> int:
 
     Valid (and asserted) only for size(a) <= 4n+1; raises OutOfRange beyond,
     where no formula is claimed, and PreconditionViolated unless n is a
-    non-negative integer.  The m!/prod_j a_j! index sequences that realise
-    a are summed by ``moment_usp_sum`` and divided out.
+    non-negative integer.  The defining sum runs through ``_fixed_sum`` over
+    a's part sizes, widest first, with states (size c, size d): one moment,
+    not the sum over a's index sequences, so nothing is divided out.
     """
     n = nonnegative_int(n, "n")
     if a.size > 4 * n + 1:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
-    sequences = factorial(a.length)
-    for _, k in a.items:
-        sequences //= factorial(k)
-    return moment_usp_sum(n, a.length, [(j, 1, k) for j, k in a.items]) // sequences
+    return _fixed_sum(2 * n + 2, [(j, 1, k) for j, k in reversed(a.items)])
 
 
 class FlaggedMoment(NamedTuple):
@@ -273,12 +308,18 @@ class FlaggedMoment(NamedTuple):
 
 
 def moment_usp_gaussian(n: int, a: Partition) -> FlaggedMoment:
-    """Gaussian-model USp moment (-1)^len(a) g(a); exact iff size(a) <= 2n+1."""
+    """Gaussian-model USp moment (-1)^len(a) g(a); exact iff size(a) <= 2n+1.
+
+    PreconditionViolated unless n is a non-negative integer."""
+    n = nonnegative_int(n, "n")
     return FlaggedMoment((-1) ** a.length * gaussian_moment(a), a.size <= 2 * n + 1)
 
 
 def moment_so_gaussian(n: int, a: Partition) -> FlaggedMoment:
-    """Gaussian-model SO(n) moment g(a); exact iff size(a) <= n-1."""
+    """Gaussian-model SO(n) moment g(a); exact iff size(a) <= n-1.
+
+    PreconditionViolated unless n is a non-negative integer."""
+    n = nonnegative_int(n, "n")
     return FlaggedMoment(gaussian_moment(a), a.size <= n - 1)
 
 
@@ -286,8 +327,10 @@ def moment_u_gaussian(n: int, a: Partition, b: Partition) -> FlaggedMoment:
     """Gaussian-model U(n) moment prod_j delta_{a_j b_j} j^{a_j} a_j!.
 
     Exact iff size(a) + size(b) <= 2n.  ``a`` carries the tr(U^j) exponents
-    and ``b`` the tr(U^-j) exponents.
+    and ``b`` the tr(U^-j) exponents.  PreconditionViolated unless n is a
+    non-negative integer.
     """
+    n = nonnegative_int(n, "n")
     valid = a.size + b.size <= 2 * n
     if a != b:
         return FlaggedMoment(0, valid)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -163,6 +164,37 @@ def test_moment_usp_sum_rejects_malformed_blocks(m, blocks, fault):
         moment_usp_sum(2, m, blocks)
 
 
+def test_fixed_counts_with_weights_scale_the_defining_sum():
+    """Fixed counts with weights w_j give m!/prod k_j! prod w_j^k_j times the
+    moment.  The reference is the defining-sum oracle, not moment_usp, which
+    runs the same fixed-count loop as the engine under test."""
+    rng = random.Random(20261019)
+    checked = 0
+    for n in range(0, 4):
+        for a in partitions_of_size_at_most(4 * n + 1):
+            blocks = [(j, rng.randint(-3, 3), k) for j, k in a.items]
+            rng.shuffle(blocks)
+            expected = factorial(a.length) * moment_usp_by_definition(n, a)
+            for _, w, k in blocks:
+                expected = expected * w**k // factorial(k)
+            assert moment_usp_sum(n, a.length, blocks) == expected, (n, a, blocks)
+            checked += expected != 0
+    assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "blocks,zero_weight,fault",
+    [
+        ([(1, 1.5, 2)], 0, "block weight = 1.5 is not an integer"),
+        ([(2, 1, None), (1, "3", None)], 0, "block weight = '3' is not an integer"),
+        ([(1, 1, None)], 0.5, "zero_weight = 0.5 is not an integer"),
+    ],
+)
+def test_moment_usp_sum_rejects_non_integer_weights(blocks, zero_weight, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        moment_usp_sum(2, 2, blocks, zero_weight)
+
+
 def _defining_sum_by_engine(n, a):
     """moment_usp_sum over a's index sequences, divided by their number
     m!/prod_j a_j!, as moment_usp does, but with no range check."""
@@ -212,6 +244,22 @@ def test_moment_usp_rejects_bad_n(n, fault):
         moment_usp(n, Partition())
     with pytest.raises(PreconditionViolated, match=fault):
         moment_usp_sum(n, 2, [(1, 1, 2)])
+
+
+@pytest.mark.parametrize("n,fault", [(1.5, "n = 1.5 is not an integer"), (-1, "n = -1 is negative")])
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda n: moment_usp_gaussian(n, Partition({1: 2})),
+        lambda n: moment_so_gaussian(n, Partition({1: 2})),
+        lambda n: moment_u_gaussian(n, Partition({1: 2}), Partition({1: 2})),
+        lambda n: nongaussian_correction(n, Partition({1: 8})),
+    ],
+    ids=["usp_gaussian", "so_gaussian", "u_gaussian", "nongaussian_correction"],
+)
+def test_models_reject_bad_n(model, n, fault):
+    with pytest.raises(PreconditionViolated, match=fault):
+        model(n)
 
 
 def test_moment_usp_frozen_values():
