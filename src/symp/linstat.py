@@ -10,9 +10,10 @@ through trace moments:
 Since tr(U^-j) = tr(U^j) and tr(U^0) = 2n, the indices +-j fold into one
 weight F_j = fhat(j-nu) + fhat(-j-nu) and the index 0 into the constant
 2n fhat(-nu).  ``statistic_moment_exact`` hands these weights, scaled to
-integers by their common denominator, to :func:`symp.moments.moment_usp_sum`,
-the dynamic programme behind ``moment_usp``; with states (parts placed,
-size c, size d) it sums the whole expansion at once instead of one moment per
+integers by their common denominator, to :func:`symp.moments.moment_usp_sum`
+as ``(j, F_j)`` blocks with free counts: the free-count loop of the dynamic
+programme behind ``moment_usp``.  With states (parts placed, size c,
+size d) it sums the whole expansion at once instead of one moment per
 multi-index.  Rational tables give exact results; float tables are converted
 exactly and the result is rounded once.  ``statistic_moments_mc`` forms W
 per sample from the same folded weights and the Monte Carlo trace columns
@@ -127,7 +128,7 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     if m * widest > 4 * n + 1:
         _raise_out_of_range(n, nu, m, f)
     scale = math.lcm(*(v.denominator for v in folded.values()))
-    blocks = [(j, int(v * scale), None) for j, v in sorted(folded.items()) if j and v]
+    blocks = [(j, int(v * scale)) for j, v in sorted(folded.items()) if j and v]
     zero_weight = 2 * n * int(folded.get(0, 0) * scale)
     value = Fraction(moment_usp_sum(n, m, blocks, zero_weight), scale**m)
     if not f.is_exact():

@@ -9,18 +9,21 @@ The central object is ``moment_usp(n, a)``, the exact value of
 where ``g`` is the moment of the shifted-Gaussian model (``gaussian_moment``
 here) and ``phi`` is the finite-n correction (``nongaussian_correction``).
 
-Both are evaluated by one size-indexed dynamic programme,
-``moment_usp_sum``: the defining sum at every size, and the Haar moment
-where the formula is proved (ROADMAP.md records it holding through 4n+5
-and failing at 4n+6).  Writing c = a - b and expanding phi's inner sum over
+The sum is evaluated by a size-indexed dynamic programme: the defining
+sum at every size, and the Haar moment where the formula is proved
+(ROADMAP.md records it holding through 4n+5 and failing at 4n+6).
+Writing c = a - b and expanding phi's inner sum over
 d <= c, ``C(a,b) C(c,d) = prod_j a_j!/(b_j! d_j! e_j!)`` with e = c - d, so
 every factor splits per part size except phi's weight, which depends only on
 (size c, size d): 1 for empty c, -1 for even size c with
 size d <= size c/2 - n - 1, else 0.  The programme runs over the part sizes
-and drops a state as soon as that weight can no longer be nonzero.  With
-fixed counts, as in ``moment_usp``, every state has placed the same parts,
-so the states are (size c, size d) alone and the result is one moment;
-with free counts, as in :mod:`symp.linstat`, they add the parts placed, t.
+and drops a state as soon as that weight can no longer be nonzero.  It
+has two loops.  ``moment_usp``, the only caller with fixed counts, runs
+``_fixed_sum``: every state has placed the same parts, so the states are
+(size c, size d) alone and the result is one moment.  ``moment_usp_sum``
+takes ``(j, w)`` blocks with every count free, as :mod:`symp.linstat`
+needs, and sums over all index sequences of length m; its states add the
+parts placed, t.
 Each part size makes one pass over the states: a memoized transfer table,
 keyed only by (j, w, k), lists every split k = b + d + e of its k parts as
 a step (size c += j(d+e), size d += j d) with its integer weight, sorted by
@@ -129,11 +132,10 @@ def nonnegative_int(value, name: str) -> int:
 def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     """Sum over index sequences of length m of the weighted USp moments.
 
-    ``blocks`` lists ``(j, w, count)`` for distinct part sizes j >= 1 and
-    integer weights w; a sequence places k_j of its m indices on j and the
-    remaining k_0 on the index 0, whose trace is the integer constant
-    ``zero_weight``.  Either every count is an int, k_j == count and the
-    counts sum to m, or every count is None, and k_j is free.  Returns
+    ``blocks`` lists ``(j, w)`` for distinct integer part sizes j >= 1 and
+    integer weights w; a sequence places any number k_j of its m indices on
+    j and the remaining k_0 on the index 0, whose trace is the integer
+    constant ``zero_weight``.  Returns
 
         sum_k m!/(k_0! prod_j k_j!) zero_weight^k_0 prod_j w^k_j moment_usp(n, k)
 
@@ -144,30 +146,31 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     Each k_j splits as b + d + e (b the Gaussian part, c = d + e the
     correction part, d the inner sum of phi), and the weight
     ``C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k`` factors per j.  Only phi
-    couples the part sizes, through (size c, size d).  With fixed counts
-    the sum is the multinomial m!/prod_j k_j! times one moment, which
-    ``_fixed_sum`` computes over states (size c, size d).  With free counts
-    one pass over the blocks runs over states (parts placed t, size c,
-    size d): block j moves a state by each entry (j(d+e), j d, weight) of
-    its transfer table for every k with t + k <= m, times C(t+k, k) for
-    the interleaving.  Both prune alike: a state with c nonempty survives
-    only while size c, plus all the parts still to place could add, reaches
-    2n+2+2 size d, which up to size 4n+1 forces size d <= n-1.
+    couples the part sizes, through (size c, size d).  One pass over the
+    blocks runs over states (parts placed t, size c, size d): block j moves
+    a state by each entry (j(d+e), j d, weight) of its transfer table for
+    every k with t + k <= m, times C(t+k, k) for the interleaving.  A state
+    with c nonempty survives only while size c, plus all the parts still to
+    place could add, reaches 2n+2+2 size d, which up to size 4n+1 forces
+    size d <= n-1.  The one moment of a fixed partition is ``_fixed_sum``,
+    which ``moment_usp`` calls.
     """
     n = nonnegative_int(n, "n")
     m = nonnegative_int(m, "m")
     zero_weight = integer(zero_weight, "zero_weight")
     # widest part first: what the remaining blocks can still add to size c
     # then shrinks fastest, and so does the set of surviving states
-    blocks = sorted([(j, integer(w, "block weight"), count) for j, w, count in blocks], key=itemgetter(0), reverse=True)
+    blocks = sorted(
+        [(integer(j, "part size"), integer(w, "block weight")) for j, w in blocks], key=itemgetter(0), reverse=True
+    )
+    if blocks and blocks[-1][0] < 1:
+        raise PreconditionViolated(f"part size {blocks[-1][0]} is below 1")
+    for (j, _), (i, _) in zip(blocks, blocks[1:]):
+        if j == i:
+            raise PreconditionViolated(f"part size {j} appears in more than one block")
     need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
-    if _check_blocks(m, blocks):
-        sequences = factorial(m)
-        for _, _, count in blocks:
-            sequences //= factorial(count)
-        return sequences * _fixed_sum(need, blocks)
     states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
-    for j, w, _ in blocks:
+    for j, w in blocks:
         tables = [(k, *_transfer_table(j, w, k)) for k in range(m + 1)]
         nxt: dict[tuple[int, int, int], int] = {}
         get = nxt.get
@@ -195,8 +198,8 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
 
 def _fixed_sum(need: int, blocks) -> int:
     """The defining sum of the moment of one partition: ``blocks`` lists
-    (j, w, k) for each part size j with k parts of weight w, widest first,
-    and phi(n, c) needs size c >= need + 2 size d.
+    (j, k) for each part size j with k parts, widest first, and phi(n, c)
+    needs size c >= need + 2 size d.
 
     Every state has then placed the same parts, so states are keyed by
     (size c, size d) alone, with no interleaving factor.  Once block j is
@@ -206,11 +209,11 @@ def _fixed_sum(need: int, blocks) -> int:
     falls short ends the state's pass.  The entry b = k, which leaves c as
     it is, is kept apart so that a state with empty c always survives.
     """
-    later = sum(j * k for j, _, k in blocks)
+    later = sum(j * k for j, k in blocks)
     states = {(0, 0): 1}
-    for j, w, k in blocks:
+    for j, k in blocks:
         later -= j * k
-        whole, entries = _transfer_table(j, w, k)
+        whole, entries = _transfer_table(j, 1, k)
         base = need - later
         nxt: dict[tuple[int, int], int] = {}
         get = nxt.get
@@ -237,30 +240,6 @@ def _phi_total(need: int, states) -> int:
         elif sc % 2 == 0 and sc >= need + 2 * sd:
             total -= v
     return total
-
-
-def _check_blocks(m: int, blocks) -> bool:
-    """Whether the counts are fixed; PreconditionViolated unless the part
-    sizes are distinct and >= 1 and the counts are all None or all
-    non-negative and summing to m.  ``blocks`` is sorted widest first."""
-    if not blocks:
-        return False
-    if blocks[-1][0] < 1:
-        raise PreconditionViolated(f"part size {blocks[-1][0]} is below 1")
-    for (j, _, _), (i, _, _) in zip(blocks, blocks[1:]):
-        if j == i:
-            raise PreconditionViolated(f"part size {j} appears in more than one block")
-    counts = [count for _, _, count in blocks]
-    nones = counts.count(None)
-    if nones == len(counts):
-        return False
-    if nones:
-        raise PreconditionViolated("block counts mix ints and None; give all or none")
-    if min(counts) < 0:
-        raise PreconditionViolated(f"block count {min(counts)} is negative")
-    if sum(counts) != m:
-        raise PreconditionViolated(f"block counts sum to {sum(counts)}, not m = {m}")
-    return True
 
 
 @lru_cache(maxsize=256)
@@ -297,7 +276,7 @@ def moment_usp(n: int, a: Partition) -> int:
     n = nonnegative_int(n, "n")
     if a.size > 4 * n + 1:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
-    return _fixed_sum(2 * n + 2, [(j, 1, k) for j, k in reversed(a.items)])
+    return _fixed_sum(2 * n + 2, a.items[::-1])
 
 
 class FlaggedMoment(NamedTuple):
