@@ -61,7 +61,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, perm
+from itertools import combinations
+from math import comb, factorial, perm, prod
 from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
@@ -235,6 +236,22 @@ def primes_of_degree(field: PrimeField, degree: int) -> list[Poly]:
             composite[_product_codes(field, factors, monic_coeff_matrix(field, degree - e))] = True
         field._primes[degree] = _monic_polys_where(field, degree, ~composite) if degree else []
     return field._primes[degree]
+
+
+def prime_count(q: int, degree: int) -> int:
+    """Number of monic irreducibles of the given degree over F_q, by Gauss's
+    formula (1/d) sum_{e | d} mu(e) q^(d/e): mu(e) is (-1)^r on the products
+    e of r distinct primes dividing d, the only e it does not zero.  0 for
+    degree 0, as ``primes_of_degree`` lists none."""
+    degree = nonnegative_int(degree, "degree")
+    if degree == 0:
+        return 0
+    primes = [p for p in range(2, degree + 1) if degree % p == 0 and _is_prime_int(p)]
+    total = 0
+    for r in range(len(primes) + 1):
+        for chosen in combinations(primes, r):
+            total += (-1) ** r * q ** (degree // prod(chosen))
+    return total // degree
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +714,14 @@ def square_contribution(field: PrimeField, b: Partition) -> float:
     first power only by slots of degree j, so the product is a square iff
     for each j those slots pick every prime an even number of times.  Part
     size j of multiplicity m contributes sum_{k even <= m} C(m, k) j^k
-    W(N_j, k) s_j^(m-k), with N_j primes of degree j (``primes_of_degree``:
-    BudgetExceeded when q^j > DEFAULT_BUDGET) and s_j = (j/2) N_{j/2}, the
-    Lambda-weighted count of the prime squares of degree j (0 for odd j).
+    W(N_j, k) s_j^(m-k), with N_j primes of degree j (``prime_count``, so
+    no prime table is built and no q is too large) and s_j = (j/2) N_{j/2},
+    the Lambda-weighted count of the prime squares of degree j (0 for odd j).
     """
+    q = field.q
     total = 1
     for j, m in b.items:
-        primes = len(primes_of_degree(field, j))
-        squares = j // 2 * len(primes_of_degree(field, j // 2)) if j % 2 == 0 else 0
+        primes = prime_count(q, j)
+        squares = j // 2 * prime_count(q, j // 2) if j % 2 == 0 else 0
         total *= sum(comb(m, k) * j**k * _even_words(primes, k) * squares ** (m - k) for k in range(0, m + 1, 2))
-    return total / field.q ** (b.size / 2)
+    return total / q ** (b.size / 2)

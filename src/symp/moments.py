@@ -24,11 +24,17 @@ has two loops.  ``moment_usp``, the only caller with fixed counts, runs
 takes ``(j, w)`` blocks with every count free, as :mod:`symp.linstat`
 needs, and sums over all index sequences of length m; its states add the
 parts placed, t.
-Each part size makes one pass over the states: a memoized transfer table,
-keyed only by (j, w, k), lists every split k = b + d + e of its k parts as
-a step (size c += j(d+e), size d += j d) with its integer weight, sorted by
-how much the step adds to the slack size c + reach - (2n+2) - 2 size d, so
-a state's pass stops at the first step that leaves phi no chance.  In the
+Each part size but the smallest makes one pass over the states: a
+memoized transfer table, keyed only by (j, w, k), lists every split k = b
++ d + e of its k parts as a step (size c += j(d+e), size d += j d) with its
+integer weight, sorted by how much the step adds to the slack size c +
+reach - (2n+2) - 2 size d, where reach is what the parts still to come can
+add (each at most the next part size, as the sizes come widest first), so
+a state's pass stops at the first step that leaves phi no chance.  The
+smallest part size closes the sum instead (``_close``): with reach 0 a step
+lands in phi's nonzero set exactly when it passes that slack test and
+makes size c even, so each state adds a prefix sum of its block's steps of
+one parity, found by bisecting the sorted slacks.  In the
 Gaussian range size(a) <= 2n+1 only the empty-c state survives, which is
 how the formula collapses to g(a).  Everything in this module is exact
 integer arithmetic; the only rounding anywhere lives in the numerical
@@ -38,6 +44,7 @@ oracles of :mod:`symp.haar`.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -147,13 +154,16 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     correction part, d the inner sum of phi), and the weight
     ``C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k`` factors per j.  Only phi
     couples the part sizes, through (size c, size d).  One pass over the
-    blocks runs over states (parts placed t, size c, size d): block j moves
-    a state by each entry (j(d+e), j d, weight) of its transfer table for
-    every k with t + k <= m, times C(t+k, k) for the interleaving.  A state
-    with c nonempty survives only while size c, plus all the parts still to
-    place could add, reaches 2n+2+2 size d, which up to size 4n+1 forces
-    size d <= n-1.  The one moment of a fixed partition is ``_fixed_sum``,
-    which ``moment_usp`` calls.
+    blocks, widest first, runs over states (parts placed t, size c, size d):
+    each block but the last moves a state by each entry (j(d+e), j d,
+    weight) of its transfer table for every k with t + k <= m, times
+    C(t+k, k) for the interleaving.  A state with c nonempty survives only
+    while size c, plus all the parts still to place could add, reaches
+    2n+2+2 size d; as the blocks come widest first, each part left adds at
+    most the next block's part size.  The last block takes the k = m - t
+    parts left, times C(m, k), and ``_close`` sums phi over what it makes.
+    The one moment of a fixed partition is ``_fixed_sum``, which
+    ``moment_usp`` calls.
     """
     n = nonnegative_int(n, "n")
     m = nonnegative_int(m, "m")
@@ -163,26 +173,29 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     blocks = sorted(
         [(integer(j, "part size"), integer(w, "block weight")) for j, w in blocks], key=itemgetter(0), reverse=True
     )
-    if blocks and blocks[-1][0] < 1:
+    if not blocks:
+        return zero_weight**m
+    if blocks[-1][0] < 1:
         raise PreconditionViolated(f"part size {blocks[-1][0]} is below 1")
     for (j, _), (i, _) in zip(blocks, blocks[1:]):
         if j == i:
             raise PreconditionViolated(f"part size {j} appears in more than one block")
     need = 2 * n + 2  # phi(n, c) vanishes unless size c >= need + 2 size d
     states = {(k, 0, 0): zero_weight**k for k in range(m + 1) if zero_weight**k}
-    for j, w in blocks:
+    for (j, w), (wide, _) in zip(blocks, blocks[1:]):
         tables = [(k, *_transfer_table(j, w, k)) for k in range(m + 1)]
         nxt: dict[tuple[int, int, int], int] = {}
         get = nxt.get
         for (t, sc, sd), v in states.items():
-            short = need + 2 * sd - sc - j * m
+            short = need + 2 * sd - sc - wide * m
             for k, whole, entries in tables:
                 u = t + k
                 if u > m:
                     break
-                # need + 2 sd - sc - j (m - u): the slack an entry needs, as
-                # each of the m - u parts left adds at most j, the widest size left
-                lim = short + j * u
+                # need + 2 sd - sc - wide (m - u): the slack an entry needs, as
+                # each of the m - u parts left adds at most wide, the next
+                # block's part size
+                lim = short + wide * u
                 f = v * comb(u, k)
                 if whole and (not sc or lim <= 0):
                     key = (u, sc, sd)
@@ -193,7 +206,11 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
                     key = (u, sc + dc, sd + dd)
                     nxt[key] = get(key, 0) + f * coef
         states = nxt
-    return _phi_total(need, ((key[1:], v) for key, v in states.items() if key[0] == m))
+    j, w = blocks[-1]
+    layers: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(m + 1)]
+    for (t, sc, sd), v in states.items():
+        layers[t].append(((sc, sd), v))
+    return _close(need, j, w, [(m - t, comb(m, t), layer) for t, layer in enumerate(layers)])
 
 
 def _fixed_sum(need: int, blocks) -> int:
@@ -207,11 +224,14 @@ def _fixed_sum(need: int, blocks) -> int:
     of its transfer table must gain the slack ``lim = need - later + 2 sd -
     sc``; the entries come largest slack j(e-d) first and the first one that
     falls short ends the state's pass.  The entry b = k, which leaves c as
-    it is, is kept apart so that a state with empty c always survives.
+    it is, is kept apart so that a state with empty c always survives.  The
+    last block is not run as a pass: ``_close`` sums phi over what it makes.
     """
+    if not blocks:
+        return 1
     later = sum(j * k for j, k in blocks)
     states = {(0, 0): 1}
-    for j, k in blocks:
+    for j, k in blocks[:-1]:
         later -= j * k
         whole, entries = _transfer_table(j, 1, k)
         base = need - later
@@ -227,19 +247,51 @@ def _fixed_sum(need: int, blocks) -> int:
                 key = (sc + dc, sd + dd)
                 nxt[key] = get(key, 0) + v * coef
         states = nxt
-    return _phi_total(need, states.items())
+    j, k = blocks[-1]
+    return _close(need, j, 1, [(k, 1, states.items())])
 
 
-def _phi_total(need: int, states) -> int:
-    """Sum of v times phi's weight over the final ((size c, size d), v):
-    1 for empty c, -1 for even size c >= need + 2 size d, else 0."""
+def _close(need: int, j: int, w: int, groups) -> int:
+    """Sum of f v times phi's weight over every state that the closing
+    block of part size j and weight w makes from ``groups``: (k, f, states)
+    with k the parts the block takes from each ((size c, size d), v) in
+    states and f a factor common to the group.
+
+    phi's weight is 1 for empty c and -1 for even size c >= need + 2 size d.
+    With no block after it, a step (j(d+e), j d) reaches the second set
+    exactly when its slack j(e-d) >= lim = need + 2 size d - size c, and
+    lands on an even size c when j(d+e) has the parity of size c.  So a
+    state with c nonempty gives -v times a prefix sum of ``_closing_table``,
+    found by bisecting on -lim.  Empty c has lim = need > 0, which the
+    table's step b = k (slack 0) does not reach; that step adds v times
+    its weight instead.
+    """
     total = 0
-    for (sc, sd), v in states:
-        if sc == 0:
-            total += v
-        elif sc % 2 == 0 and sc >= need + 2 * sd:
-            total -= v
+    for k, f, states in groups:
+        whole, rises, even, odd = _closing_table(j, w, k)
+        part = 0
+        for (sc, sd), v in states:
+            part -= v * (odd if sc & 1 else even)[bisect_right(rises, sc - need - 2 * sd)]
+            if not sc:
+                part += v * whole
+        total += f * part
     return total
+
+
+@lru_cache(maxsize=256)
+def _closing_table(j: int, w: int, k: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``_transfer_table(j, w, k)`` as ``_close`` reads it: the weight of
+    the split b = k, the negated slacks of every split in ascending order
+    (b = k is the step (0, 0, 0) here), and the prefix sums of their weights
+    over the steps with an even and with an odd size c step."""
+    whole, entries = _transfer_table(j, w, k)
+    steps = sorted([(0, 0, whole), *((slack, dc, coef) for slack, dc, _, coef in entries)], reverse=True)
+    rises, even, odd = [], [0], [0]
+    for slack, dc, coef in steps:
+        rises.append(-slack)
+        even.append(even[-1] + (0 if dc & 1 else coef))
+        odd.append(odd[-1] + (coef if dc & 1 else 0))
+    return whole, tuple(rises), tuple(even), tuple(odd)
 
 
 @lru_cache(maxsize=256)

@@ -49,6 +49,7 @@ from symp.ffield import (
     poly_divmod,
     poly_gcd,
     poly_mul,
+    prime_count,
     primes_of_degree,
     square_contribution,
     symbols_batch,
@@ -141,8 +142,18 @@ def test_prime_sieve_gauss_count():
     for q in (3, 5, 7, 11, 13):
         field = PrimeField(q)
         for d in range(1, 5):
-            assert len(primes_of_degree(field, d)) == mobius_prime_count(q, d), (q, d)
-    assert primes_of_degree(F3, 0) == []
+            assert len(primes_of_degree(field, d)) == mobius_prime_count(q, d) == prime_count(q, d), (q, d)
+    assert primes_of_degree(F3, 0) == [] and prime_count(3, 0) == 0
+    assert prime_count(3, 12) == mobius_prime_count(3, 12)  # mu(6) = +1, mu(4) = mu(12) = 0
+
+
+def test_square_contribution_needs_no_prime_table():
+    # q^2 = 100 140 049 codes exceed DEFAULT_BUDGET, so a degree-2 prime
+    # table would raise BudgetExceeded; the counts come from Gauss's formula
+    q = 10007
+    value = square_contribution(PrimeField(q), Partition({2: 2}))
+    assert value == (3 * q**2 - 2 * q) / q**2
+    assert abs(value - gaussian_moment(Partition({2: 2}))) <= 2.5 / q
 
 
 def test_is_irreducible_matches_brute():

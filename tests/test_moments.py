@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -219,20 +219,21 @@ def test_moment_usp_sum_is_the_defining_sum_past_4n_plus_1():
 
 
 def test_dp_prune_is_tight(monkeypatch):
-    # every state that reaches phi's final rule has a nonzero weight there
-    # but for parity: a looser slack test keeps states that the rule drops,
-    # which changes no value and shows only as lost speed
-    phi_total = moments._phi_total
+    # every state handed to the closing block can still reach phi's nonzero
+    # set: a looser slack test keeps states that the close then drops, which
+    # changes no value and shows only as lost speed
+    close = moments._close
     seen = []
 
-    def checked(need, states):
-        states = list(states)
-        for (sc, sd), _ in states:
-            assert sc == 0 or sc >= need + 2 * sd, (need, sc, sd)
-            seen.append(sc > 0)
-        return phi_total(need, states)
+    def checked(need, j, w, groups):
+        groups = [(k, f, list(states)) for k, f, states in groups]
+        for k, _, states in groups:
+            for (sc, sd), _ in states:
+                assert sc == 0 or need + 2 * sd - sc <= j * k, (need, j, k, sc, sd)
+                seen.append(sc > 0)
+        return close(need, j, w, groups)
 
-    monkeypatch.setattr(moments, "_phi_total", checked)
+    monkeypatch.setattr(moments, "_close", checked)
     for n in range(1, 6):
         for a in partitions_of_size_at_most(4 * n + 1):
             moment_usp(n, a)
@@ -240,7 +241,50 @@ def test_dp_prune_is_tight(monkeypatch):
     for n in range(0, 5):
         for m in range(0, 7):
             moment_usp_sum(n, m, [(1, 2), (2, -3)], -5)
-    assert fixed > 0 and sum(seen) > fixed  # both loops left states with nonempty c
+            moment_usp_sum(n, m, [(3, 1), (1, 2), (2, -1)], 2)
+    assert fixed > 0 and sum(seen) > fixed  # both loops closed states with nonempty c
+
+
+def test_closing_step_is_the_filtered_transfer_table():
+    # one state through the close against a brute filter of the transfer
+    # table: the weights of the steps with slack >= lim whose size c step has
+    # the state's parity, the split b = k counting as the step (0, 0, 0)
+    checked = 0
+    for j in range(1, 6):
+        for w in (1, -1, 2, -2, 3, -3):
+            for k in range(0, 9):
+                whole, entries = moments._transfer_table(j, w, k)
+                steps = [(0, 0, whole)] + [(slack, dc, coef) for slack, dc, _, coef in entries]
+                for lim in range(-(j * k + 2), j * k + 3):
+                    for parity in (0, 1):
+                        brute = sum(coef for slack, dc, coef in steps if slack >= lim and dc % 2 == parity)
+                        sc = 2 - parity  # nonempty c of that parity, sd = 0
+                        closed = moments._close(lim + sc, j, w, [(k, 1, [((sc, 0), 1)])])
+                        assert closed == -brute, (j, w, k, lim, parity)
+                        checked += 1
+                    if lim > 0:  # empty c: lim = need, and the split b = k keeps phi's weight 1
+                        brute = sum(coef for slack, dc, coef in steps if slack >= lim and dc % 2 == 0)
+                        assert moments._close(lim, j, w, [(k, 2, [((0, 0), 3)])]) == 6 * (whole - brute), (j, w, k, lim)
+    assert checked == 2 * sum(2 * (j * k + 2) + 1 for j in range(1, 6) for k in range(9)) * 6
+
+
+@pytest.mark.parametrize("zero_weight", [-2, 0, 3])
+def test_moment_usp_sum_with_no_blocks_is_the_zero_weight_power(zero_weight):
+    for n in range(0, 4):
+        for m in range(0, 6):
+            assert moment_usp_sum(n, m, [], zero_weight) == zero_weight**m, (n, m)
+
+
+@pytest.mark.parametrize("j,w,zero_weight", [(1, 1, 0), (1, -2, 3), (2, 3, -1), (3, -1, 2)])
+def test_single_block_free_sum_is_the_multinomial_of_the_definition(j, w, zero_weight):
+    # one block is the closing block alone: no head pass runs
+    for n in range(0, 4):
+        for m in range(0, 7):
+            expected = sum(
+                comb(m, k) * zero_weight ** (m - k) * w**k * moment_usp_by_definition(n, Partition({j: k}))
+                for k in range(m + 1)
+            )
+            assert moment_usp_sum(n, m, [(j, w)], zero_weight) == expected, (n, m)
 
 
 @pytest.mark.parametrize("n,fault", [(1.5, "n = 1.5 is not an integer"), (-1, "n = -1 is negative")])
