@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import ffield, haar, linstat, moments
-from .errors import BudgetExceeded, CapExceeded, CostGuard, OutOfRange, ParseError
+from .errors import BudgetExceeded, OutOfRange, ParseError, PreconditionViolated
 from .partitions import Partition
 
 COLUMNS = [
@@ -325,13 +325,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         _emit(_HANDLERS[args.command](args), args.format, args.out)
-    except ParseError as exc:
+    except (ParseError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutOfRange as exc:
         print(f"error: out of range: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_RANGE
-    except (BudgetExceeded, CostGuard, CapExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK

@@ -1,4 +1,13 @@
-"""Shared exception types. The CLI maps these onto exit codes."""
+"""Shared exception types: one leaf class per ``symp`` exit code.
+
+    ParseError            exit 2  malformed text input or flag value
+    PreconditionViolated  exit 2  an operation's stated precondition fails
+    OutOfRange            exit 3  a moment outside the proven range 4n+1
+    BudgetExceeded        exit 4  an enumeration, grid or table over its cap
+
+``cli.main`` catches each class, so no deliberate error leaves ``symp`` as
+a traceback.  ParseError and PreconditionViolated are also ValueErrors.
+"""
 
 
 class SympError(Exception):
@@ -9,12 +18,8 @@ class ParseError(SympError, ValueError):
     """Malformed text input (partition, polynomial or Fourier table)."""
 
 
-class NotDominated(SympError, ValueError):
-    """Partition subtraction requested without componentwise domination."""
-
-
-class CapExceeded(SympError):
-    """Enumeration size cap exceeded."""
+class PreconditionViolated(SympError, ValueError):
+    """An operation's stated precondition does not hold."""
 
 
 class OutOfRange(SympError):
@@ -22,16 +27,4 @@ class OutOfRange(SympError):
 
 
 class BudgetExceeded(SympError):
-    """A finite-field enumeration would exceed its visit budget."""
-
-
-class CostGuard(SympError):
-    """A quadrature request exceeds the configured cost limits."""
-
-
-class NotSquarefree(SympError, ValueError):
-    """Operation requires a squarefree polynomial."""
-
-
-class PreconditionViolated(SympError, ValueError):
-    """An operation's stated precondition does not hold."""
+    """An enumeration, quadrature grid or finite-field table would exceed its cap."""

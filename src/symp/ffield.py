@@ -67,7 +67,7 @@ from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotSquarefree, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .moments import nonnegative_int
 from .partitions import Partition
 
@@ -100,7 +100,7 @@ class PrimeField:
 
     def __init__(self, q: int):
         if not isinstance(q, (int, np.integer)) or q < 3 or q % 2 == 0 or not _is_prime_int(q):
-            raise ValueError(f"q must be an odd prime, got {q!r}")
+            raise PreconditionViolated(f"q must be an odd prime, got {q!r}")
         self.q = int(q)
         self._primes: dict[int, list[Poly]] = {}
         self._residue_squares: dict[int, np.ndarray] = {}
@@ -579,9 +579,9 @@ def l_polynomial(field: PrimeField, h: Poly) -> LPolynomial:
     h = poly_trim([c % field.q for c in h])
     degree = poly_degree(h)
     if degree < 1 or degree % 2 == 0 or not poly_is_monic(h):
-        raise ValueError("h must be monic of odd degree >= 1")
+        raise PreconditionViolated("h must be monic of odd degree >= 1")
     if not is_squarefree(field, h):
-        raise NotSquarefree(f"h = {h} is not squarefree")
+        raise PreconditionViolated(f"h = {h} is not squarefree")
     n = (degree - 1) // 2
     coeffs = l_polynomials_batch(field, n, np.array([h], dtype=np.int64))[0]
     return LPolynomial(field.q, n, tuple(int(v) for v in coeffs))

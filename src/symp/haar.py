@@ -41,8 +41,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CostGuard, PreconditionViolated
-from .moments import nonnegative_int
+from .errors import BudgetExceeded, PreconditionViolated
+from .moments import integer, nonnegative_int
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
@@ -65,9 +65,9 @@ class MCConfig:
 
     def __post_init__(self):
         if not isinstance(self.sample_count, (int, np.integer)) or self.sample_count < 1:
-            raise ValueError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
+            raise PreconditionViolated(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
         if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+            raise PreconditionViolated(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,26 +97,27 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
     ``default_nodes`` bound; an explicit config for another n, or below the
     margin-0 bound, raises PreconditionViolated, and so does an n that is
-    not a non-negative integer.  Guarded to n <= 4 and N^n grid points at
-    most 4 000 000 for N nodes per angle (CostGuard).  The sum runs over the
-    strictly increasing node tuples of ``_quadrature_grid``: sum_tuples
-    weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``.
+    not a non-negative integer or a node count that is not an integer.
+    Guarded to n <= 4 and N^n grid points at most 4 000 000 for N nodes per
+    angle (BudgetExceeded).  The sum runs over the strictly increasing node
+    tuples of ``_quadrature_grid``: sum_tuples weight *
+    prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``.
     """
     n = nonnegative_int(n, "n")
     if cfg is None:
         cfg = QuadratureConfig(n, default_nodes(n, a))
     elif cfg.n != n:
         raise PreconditionViolated(f"QuadratureConfig is for n = {cfg.n}, not n = {n}")
-    elif cfg.nodes_per_dim < default_nodes(n, a, margin=0):
+    elif integer(cfg.nodes_per_dim, "nodes_per_dim") < default_nodes(n, a, margin=0):
         raise PreconditionViolated(
             f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
             f" the fewest that integrate {a.format()} exactly at n = {n}"
         )
     count = cfg.nodes_per_dim
     if n > 4:
-        raise CostGuard(f"quadrature limited to n <= 4, got n = {n}")
+        raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
     if count**n > _MAX_GRID_POINTS:
-        raise CostGuard(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
+        raise BudgetExceeded(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
 
     tuples, angle, integrand = _quadrature_grid(n, count)
     for j, m in a.items:
@@ -288,7 +289,7 @@ def _mc_block(args) -> tuple:
         centred = column - mean
         means.append(float(mean))
         m2s.append(float((centred * centred).sum()))
-    return block_index, count, means, m2s
+    return count, means, m2s
 
 
 def run_mc(
@@ -322,9 +323,8 @@ def run_mc(
         raise PreconditionViolated(f"trace indices {indices} are not sorted, distinct and non-negative")
     blocks = [(n, cfg, index, count, stat_fn, stat_args) for index, count in _blocks(cfg)]
     if threads > 1 and len(blocks) > 1:
-        with get_context("fork").Pool(processes=threads) as pool:
+        with get_context("fork").Pool(processes=min(threads, len(blocks))) as pool:
             results = pool.map(_mc_block, blocks, chunksize=1)
-        results.sort(key=lambda r: r[0])
     else:
         results = [_mc_block(b) for b in blocks]
 
@@ -332,7 +332,7 @@ def run_mc(
     out = []
     for col in range(n_stats):
         seen, mean, m2 = 0, 0.0, 0.0
-        for _, count, means, m2s in results:
+        for count, means, m2s in results:
             delta = means[col] - mean
             merged = seen + count
             mean += delta * count / merged

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError
+from .errors import OutOfRange, ParseError, PreconditionViolated
 from .haar import MCConfig, run_mc
 from .moments import double_factorial, even_indicator, integer, moment_usp_sum, nonnegative_int
 from .partitions import Partition
@@ -52,7 +52,7 @@ class FourierTestFn:
         for key in sorted(table):
             j = integer(key, "Fourier index")
             if j < 0:
-                raise ValueError("supply only j >= 0; evenness fills in the rest")
+                raise PreconditionViolated("supply only j >= 0; evenness fills in the rest")
             if table[key] != 0:
                 items.append((j, table[key]))
         return cls(tuple(items))

@@ -14,7 +14,7 @@ from math import comb
 from operator import index
 from typing import Iterator, Mapping
 
-from .errors import CapExceeded, NotDominated, ParseError
+from .errors import BudgetExceeded, ParseError, PreconditionViolated
 
 _TERM_RE = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -34,11 +34,11 @@ class Partition:
                 try:
                     j, m = index(key), index(parts[key])
                 except TypeError:
-                    raise ValueError(f"invalid partition entry {key!r}:{parts[key]!r}: not an integer") from None
+                    raise PreconditionViolated(f"invalid partition entry {key!r}:{parts[key]!r}: not an integer") from None
                 if m == 0:
                     continue
                 if j < 1 or m < 0:
-                    raise ValueError(f"invalid partition entry {j}:{m}")
+                    raise PreconditionViolated(f"invalid partition entry {j}:{m}")
                 items.append((j, m))
                 length += m
                 size += j * m
@@ -78,7 +78,7 @@ class Partition:
 
     def __sub__(self, other: "Partition") -> "Partition":
         if not other <= self:
-            raise NotDominated(f"{other} is not dominated by {self}")
+            raise PreconditionViolated(f"{other} is not dominated by {self}")
         out = dict(self._items)
         for j, m in other._items:
             out[j] -= m
@@ -149,6 +149,6 @@ def partitions_of_size_exactly(k: int) -> Iterator[Partition]:
 def partitions_of_size_at_most(n: int) -> Iterator[Partition]:
     """All partitions with size <= n, by ascending size then shape order."""
     if n > DEFAULT_SIZE_CAP:
-        raise CapExceeded(f"size bound {n} exceeds cap {DEFAULT_SIZE_CAP}")
+        raise BudgetExceeded(f"size bound {n} exceeds cap {DEFAULT_SIZE_CAP}")
     for k in range(n + 1):
         yield from partitions_of_size_exactly(k)

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from symp import haar
-from symp.errors import CostGuard, PreconditionViolated
+from symp.errors import BudgetExceeded, PreconditionViolated
 from symp.ffield import (
     Poly,
     PrimeField,
@@ -137,9 +137,9 @@ def moment_quadrature_full_grid(n: int, a: Partition, cfg: QuadratureConfig | No
         )
     count = cfg.nodes_per_dim
     if n > 4:
-        raise CostGuard(f"quadrature limited to n <= 4, got n = {n}")
+        raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
     if count**n > _MAX_GRID_POINTS:
-        raise CostGuard(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
+        raise BudgetExceeded(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
 
     x, w = quadrature_nodes(count)
     theta = np.arccos(x) / (2 * np.longdouble(math.pi))

@@ -23,7 +23,7 @@ from oracles import (
     von_mangoldt,
 )
 from symp import ffield
-from symp.errors import BudgetExceeded, NotSquarefree, PreconditionViolated
+from symp.errors import BudgetExceeded, PreconditionViolated
 from symp.ffield import (
     _check_float_exact,
     _chunk_symbols,
@@ -364,7 +364,7 @@ def test_l_polynomial_symmetry_endpoint():
 
 
 def test_l_polynomial_rejects():
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(PreconditionViolated):
         l_polynomial(F3, (0, 0, 0, 1))  # x^3
     with pytest.raises(ValueError):
         l_polynomial(F3, (1, 1, 1))  # even degree

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import _haar_matrix_batch, angle_stream, jacobi_angles, moment_quadrature_full_grid
 from oracles import trace_power, weyl_weight_usp
-from symp.errors import CostGuard, PreconditionViolated
+from symp.errors import BudgetExceeded, PreconditionViolated
 from symp import haar
 from symp.haar import (
     MCConfig,
@@ -167,9 +167,9 @@ def test_config_for_another_n_is_rejected():
 
 
 def test_cost_guard():
-    with pytest.raises(CostGuard):
+    with pytest.raises(BudgetExceeded):
         moment_quadrature(5, Partition({1: 2}))
-    with pytest.raises(CostGuard):
+    with pytest.raises(BudgetExceeded):
         moment_quadrature(4, Partition({1: 2}), QuadratureConfig(4, 100))
 
 
@@ -223,6 +223,31 @@ def test_moment_mc_determinism_and_thread_invariance():
         r2 = moment_mc(2, a, cfg, threads=1)
         r3 = moment_mc(2, a, cfg, threads=2)
         assert repr(r1) == repr(r2) == repr(r3)
+
+
+def test_run_mc_opens_no_more_workers_than_blocks(monkeypatch):
+    opened = []
+
+    class SerialPool:  # records the pool size and runs the blocks in this process
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(haar, "get_context", lambda method: Context())
+    a, cfg = Partition({1: 2}), MCConfig(1, 2 * haar.MC_BLOCK_SIZE, 0)
+    assert repr(moment_mc(1, a, cfg, threads=64)) == repr(moment_mc(1, a, cfg, threads=1))
+    assert opened == [2]
 
 
 def test_moment_mc_against_exact_small():

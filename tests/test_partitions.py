@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symp.errors import CapExceeded, NotDominated, ParseError
+from symp.errors import BudgetExceeded, ParseError, PreconditionViolated
 from symp.partitions import (
     Partition,
     partitions_of_size_at_most,
@@ -53,7 +53,7 @@ def test_subtract():
     assert Partition({1: 2, 2: 1}) - Partition({2: 1}) == Partition({1: 2})
     a = Partition({2: 3, 5: 1})
     assert a - a == Partition()
-    with pytest.raises(NotDominated):
+    with pytest.raises(PreconditionViolated):
         Partition({1: 1}) - Partition({2: 1})
 
 
@@ -80,7 +80,7 @@ def test_partition_counts():
 
 
 def test_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         list(partitions_of_size_at_most(41))
 
 
