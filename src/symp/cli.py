@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import ffield, haar, linstat, moments
 from .errors import BudgetExceeded, OutOfRange, ParseError, PreconditionViolated
@@ -56,8 +55,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -197,13 +194,14 @@ def _cmd_ffcheck(args) -> list[dict]:
     if not q_list:
         raise ParseError("--q: at least one prime required")
     reference = moments.moment_usp(args.n, a)
+    try:
+        fields = [ffield.PrimeField(q) for q in q_list]
+    except ValueError as exc:
+        raise ParseError(f"--q: {exc}") from exc
     rows = []
     errors = []
-    for q in q_list:
-        try:
-            field = ffield.PrimeField(q)
-        except ValueError as exc:
-            raise ParseError(f"--q: {exc}") from exc
+    for field in fields:
+        q = field.q
         value = ffield.empirical_moment(field, args.n, a, args.mode, budget=args.budget)
         errors.append((q, abs(value - reference)))
         rows.append(

@@ -9,15 +9,16 @@ through trace moments:
 
 Since tr(U^-j) = tr(U^j) and tr(U^0) = 2n, the indices +-j fold into one
 weight F_j = fhat(j-nu) + fhat(-j-nu) and the index 0 into the constant
-2n fhat(-nu).  ``statistic_moment_exact`` hands these weights, scaled to
-integers by their common denominator, to :func:`symp.moments.moment_usp_sum`
-as ``(j, F_j)`` blocks with free counts: the free-count loop of the dynamic
-programme behind ``moment_usp``.  With states (parts placed, size c,
-size d) it sums the whole expansion at once instead of one moment per
-multi-index.  Rational tables give exact results; float tables are converted
-exactly and the result is rounded once.  ``statistic_moments_mc`` forms W
-per sample from the same folded weights and the Monte Carlo trace columns
-of :func:`symp.haar.run_mc`.
+2n fhat(-nu).  ``statistic_moment_exact`` scales the coefficients to
+integers by their common denominator before folding, as E[W^m] is
+homogeneous of degree m in them, and hands the folded weights to
+:func:`symp.moments.moment_usp_sum` as ``(j, F_j)`` blocks with free counts:
+the free-count loop of the dynamic programme behind ``moment_usp``.  With
+states (parts placed, size c, size d) it sums the whole expansion at once
+instead of one moment per multi-index.  Rational tables give exact results;
+float tables are converted exactly and the result is rounded once.
+``statistic_moments_mc`` forms W per sample from the same folding of the
+coefficients and the Monte Carlo trace columns of :func:`symp.haar.run_mc`.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class FourierTestFn:
                 return v
         return 0
 
-    @property
-    def max_index(self) -> int:
-        return max((j for j, _ in self.coefficients), default=0)
-
     def is_exact(self) -> bool:
         return all(isinstance(v, (int, Fraction)) for _, v in self.coefficients)
 
@@ -97,17 +94,17 @@ class FourierTestFn:
         return total
 
 
-def _folded_weights(nu: int, f: FourierTestFn, number) -> dict[int, object]:
-    """The weights F_i of W = sum_i F_i tr(U^i), i >= 0, as `number`s.
+def _folded_weights(nu: int, pairs) -> dict[int, object]:
+    """The weights F_i of W = sum_i F_i tr(U^i), i >= 0, from (j, fhat(j)) pairs.
 
     W = sum over signed j of fhat(j) tr(U^(nu + j)), and tr(U^-i) = tr(U^i),
     so the indices nu + s (s = +-j) fold onto |nu + s|:
     F_i = sum_{s = +-j, |nu + s| = i} fhat(j).
     """
     folded: dict[int, object] = {}
-    for j, v in f.coefficients:
+    for j, v in pairs:
         for s in {j, -j}:
-            folded[abs(nu + s)] = folded.get(abs(nu + s), 0) + number(v)
+            folded[abs(nu + s)] = folded.get(abs(nu + s), 0) + v
     return folded
 
 
@@ -118,34 +115,34 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     n and m must be non-negative integers and nu an integer
     (PreconditionViolated otherwise).  Every multi-index within the Fourier
     support must induce a partition of size <= 4n+1; otherwise OutOfRange
-    reports the first offending multi-index.
+    reports the first offending multi-index.  The weights are scaled to
+    integers by the common denominator of f's coefficients before folding.
     """
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     m = nonnegative_int(m, "moment order m")
-    folded = _folded_weights(nu, f, Fraction)
-    widest = max((abs(nu + s) for j, v in f.coefficients if v != 0 for s in (j, -j)), default=0)
-    if m * widest > 4 * n + 1:
-        _raise_out_of_range(n, nu, m, f)
-    scale = math.lcm(*(v.denominator for v in folded.values()))
-    blocks = [(j, int(v * scale)) for j, v in sorted(folded.items()) if j and v]
-    zero_weight = 2 * n * int(folded.get(0, 0) * scale)
-    value = Fraction(moment_usp_sum(n, m, blocks, zero_weight), scale**m)
+    coefficients = [(j, Fraction(v)) for j, v in f.coefficients if v != 0]
+    pool = sorted({nu + s for j, _ in coefficients for s in (j, -j)})
+    if pool and m * max(-pool[0], pool[-1]) > 4 * n + 1:
+        _raise_out_of_range(n, m, pool)
+    scale = math.lcm(*(v.denominator for _, v in coefficients))
+    folded = _folded_weights(nu, [(j, v.numerator * (scale // v.denominator)) for j, v in coefficients])
+    blocks = [(j, w) for j, w in folded.items() if j and w]
+    value = Fraction(moment_usp_sum(n, m, blocks, 2 * n * folded.get(0, 0)), scale**m)
     if not f.is_exact():
         return float(value)
     return int(value) if value.denominator == 1 else value
 
 
-def _raise_out_of_range(n: int, nu: int, m: int, f: FourierTestFn) -> None:
+def _raise_out_of_range(n: int, m: int, pool: list[int]) -> None:
     """Raise OutOfRange for the first multi-index, in the order of
-    ``itertools.combinations_with_replacement`` over the ascending indices
-    nu + s (s = +-j, fhat(j) != 0), whose partition exceeds 4n+1.
+    ``itertools.combinations_with_replacement`` over ``pool``, the ascending
+    indices nu + s (s = +-j, fhat(j) != 0), whose partition exceeds 4n+1.
 
     That order is lexicographic, so the first one is built greedily: each
     position takes the smallest index v, not below the previous one, that
     leaves size + |v| + (positions left) max(|v|, |largest index|) > 4n+1.
     """
-    pool = sorted({nu + s for j, v in f.coefficients if v != 0 for s in (j, -j)})
     multiset, size = [], 0
     for left in range(m - 1, -1, -1):
         start = pool.index(multiset[-1]) if multiset else 0
@@ -193,7 +190,8 @@ def statistic_moments_mc(
     ms = tuple(nonnegative_int(m, "moment order m") for m in ms)
     if not ms and cfg.n == n:  # run_mc rejects a config for another n
         return []
-    folded = sorted((i, v) for i, v in _folded_weights(nu, f, float).items() if v)
+    pairs = [(j, float(v)) for j, v in f.coefficients]
+    folded = sorted((i, v) for i, v in _folded_weights(nu, pairs).items() if v)
     indices = tuple(i for i, _ in folded)
     weights = tuple(v for _, v in folded)
     return run_mc(n, cfg, _w_power_stat, (indices, weights, ms), len(ms), threads)

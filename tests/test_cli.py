@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from symp import ffield
 from symp.cli import COLUMNS, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OUT_OF_RANGE, main
 
 
@@ -112,6 +113,25 @@ def test_ffcheck_bad_q(capsys):
     code, _, err = run_cli(capsys, "ffcheck", "--n", "1", "--partition", "1^2", "--q", "4")
     assert code == EXIT_CONFIG
     assert "--q" in err
+
+
+def test_ffcheck_checks_every_q_before_summing(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ffield, "empirical_moment", lambda *args, **kwargs: calls.append(args) or 0)
+    code, out, err = run_cli(capsys, "ffcheck", "--n", "1", "--partition", "1^2", "--q", "3,4")
+    assert (code, out, len(calls)) == (EXIT_CONFIG, "", 0)
+    assert err == "error: --q: q must be an odd prime, got 4\n"
+
+
+@pytest.mark.parametrize(
+    "q, err",
+    [
+        ("3,x", "error: --q: invalid literal for int() with base 10: 'x'\n"),
+        (",", "error: --q: at least one prime required\n"),
+    ],
+)
+def test_ffcheck_q_list_refusals(capsys, q, err):
+    assert run_cli(capsys, "ffcheck", "--n", "1", "--partition", "1^2", "--q", q) == (EXIT_CONFIG, "", err)
 
 
 def test_ffcheck_budget_exit(capsys):

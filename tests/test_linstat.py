@@ -81,6 +81,22 @@ def test_exact_moment_fold_case():
         assert statistic_moment_exact(n, nu, m, f) == brute_moment_exact(n, nu, m, f)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        # F_1 = 1/2 + 1/2 = 1: the folded weights have a smaller denominator
+        FourierTestFn.parse("1:1/2 3:1/2"),
+        # F_1 = 1/3 - 1/3 = 0, yet index 5 still sets the range
+        FourierTestFn.parse("1:1/3 3:-1/3"),
+        FourierTestFn.from_dict({1: 0.5, 3: 0.25}),
+    ],
+    ids=["folded_denominator_drops", "folded_weight_cancels", "float_table"],
+)
+def test_exact_moment_fold_case_scaling(f):
+    for n, m in [(3, 2), (4, 3), (5, 3)]:
+        assert statistic_moment_exact(n, 2, m, f) == brute_moment_exact(n, 2, m, f), (n, m)
+
+
 @pytest.mark.parametrize("text", ["0:1", "0:1 1:1/2", "0:1 1:1/2 2:1/4"])
 def test_exact_moment_matches_brute_grid(text):
     # nu in 0..2 lies inside the Fourier support (tr(U^0) and folded indices)
@@ -88,7 +104,7 @@ def test_exact_moment_matches_brute_grid(text):
     for n in range(1, 6):
         for nu in (0, 1, 2, 3, 4, 5, -3):
             for m in range(6):
-                if m * (abs(nu) + f.max_index) > 4 * n + 1:
+                if m * (abs(nu) + max(j for j, _ in f.coefficients)) > 4 * n + 1:
                     with pytest.raises(OutOfRange):
                         statistic_moment_exact(n, nu, m, f)
                 else:
