@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import get_args
 
 from . import ffield, haar, linstat, moments
 from .errors import BudgetExceeded, OutOfRange, ParseError, PreconditionViolated
@@ -199,16 +200,13 @@ def _cmd_ffcheck(args) -> list[dict]:
     except ValueError as exc:
         raise ParseError(f"--q: {exc}") from exc
     rows = []
-    errors = []
     for field in fields:
-        q = field.q
         value = ffield.empirical_moment(field, args.n, a, args.mode, budget=args.budget)
-        errors.append((q, abs(value - reference)))
         rows.append(
             dict(
                 check="family-average-vs-exact",
                 group="usp",
-                q=q,
+                q=field.q,
                 n=args.n,
                 partition=a.format(),
                 mode=args.mode,
@@ -217,9 +215,9 @@ def _cmd_ffcheck(args) -> list[dict]:
                 abs_error=abs(value - reference),
             )
         )
-    fitted = max((err * math.sqrt(q) for q, err in errors), default=0.0)
-    for row, (q, _) in zip(rows, errors):
-        row["bound"] = fitted / math.sqrt(q)
+    fitted = max(row["abs_error"] * math.sqrt(row["q"]) for row in rows)
+    for row in rows:
+        row["bound"] = fitted / math.sqrt(row["q"])
     return rows
 
 
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ff.add_argument("--n", type=int, required=True)
     p_ff.add_argument("--partition", required=True)
     p_ff.add_argument("--q", required=True, help="comma-separated odd primes")
-    p_ff.add_argument("--mode", choices=["all_prime_powers", "prime_or_prime2"], default="all_prime_powers")
+    p_ff.add_argument("--mode", choices=get_args(ffield.Mode), default="all_prime_powers")
     p_ff.add_argument("--budget", type=int, default=ffield.DEFAULT_BUDGET)
     common(p_ff)
 

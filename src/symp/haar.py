@@ -20,11 +20,14 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   2 cos 2 pi theta_k.  Statistics read the trace columns tr(U^j) with no
   eigensolve: tr(U^j) = tr C_j(J) for the Chebyshev recursion
   C_j = x C_{j-1} - C_{j-2}, read from banded powers of J.  Sampling is
-  blocked with per-block seeds derived from the root seed, and every block
-  is drawn by the same helper, so results are bit-for-bit reproducible and
-  independent of the worker count.  The tests check the sampler against
-  group elements built by quaternionic Gram-Schmidt at small n, and against
-  the angles of a dense eigensolve of the same Jacobi matrices.
+  blocked, and a block is named by its index alone: the index fixes its
+  sample count and its seed, spawned from the root seed.  Every block is
+  drawn by the same helper, reduces each statistic column as one
+  contiguous row, and the blocks merge in index order, so results are
+  bit-for-bit reproducible and independent of the worker count.  The
+  tests check the sampler against group elements built by quaternionic
+  Gram-Schmidt at small n, and against the angles of a dense eigensolve of
+  the same Jacobi matrices.
 
 Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 [0, 1/2], throughout.
@@ -35,9 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import get_context
-from typing import Iterator
 
 import numpy as np
 
@@ -259,37 +261,25 @@ def _frobenius(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("dib,dib->b", x, y) - np.einsum("ib,ib->b", x[0], y[0])
 
 
-def _blocks(cfg: MCConfig) -> Iterator[tuple[int, int]]:
-    """(block index, sample count) of each seed block, in order."""
-    for index, start in enumerate(range(0, cfg.sample_count, MC_BLOCK_SIZE)):
-        yield index, min(MC_BLOCK_SIZE, cfg.sample_count - start)
+def _block_jacobi(cfg: MCConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobi matrices of seed block `index`, MC_BLOCK_SIZE of them (the
+    last block holds the rest): the one draw behind every Monte Carlo run."""
+    count = min(MC_BLOCK_SIZE, cfg.sample_count - index * MC_BLOCK_SIZE)
+    seed = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(index,))
+    return _jacobi_batch(cfg.n, count, np.random.default_rng(seed))
 
 
-def _block_jacobi(n: int, cfg: MCConfig, block_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Jacobi matrices of one seed block: the one draw behind every Monte Carlo run."""
-    seed = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(block_index,))
-    return _jacobi_batch(n, count, np.random.default_rng(seed))
-
-
-def _mc_block(args) -> tuple:
-    """Worker: sample count, column means and centred sums of squares (M2)
-    of the statistic columns over one block."""
-    n, cfg, block_index, count, stat_fn, stat_args = args
-    traces = _band_traces(*_block_jacobi(n, cfg, block_index, count), stat_args[0])
-    values = stat_fn(traces, *stat_args[1:])  # (count, n_stats)
-    if values.ndim == 1:
-        values = values[:, None]
-    # per-column reductions: bit-identical whether columns are computed
-    # together or in separate equal-seed runs
-    means = []
-    m2s = []
-    for k in range(values.shape[1]):
-        column = values[:, k]
-        mean = column.sum() / count
-        centred = column - mean
-        means.append(float(mean))
-        m2s.append(float((centred * centred).sum()))
-    return count, means, m2s
+def _mc_block(cfg: MCConfig, stat_fn, stat_args: tuple, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Worker: the means and centred sums of squares (M2) of the statistic
+    columns over seed block `index`.  Each column is reduced as one
+    contiguous row, so its sums run in the same order whether the columns
+    are computed together or in separate equal-seed runs."""
+    traces = _band_traces(*_block_jacobi(cfg, index), stat_args[0])
+    count = len(traces)
+    rows = np.ascontiguousarray(np.reshape(stat_fn(traces, *stat_args[1:]), (count, -1)).T)
+    means = rows.sum(axis=1) / count
+    centred = rows - means[:, None]
+    return means, (centred * centred).sum(axis=1)
 
 
 def run_mc(
@@ -305,13 +295,16 @@ def run_mc(
     ``stat_args[0]`` is the sorted tuple of trace indices j that the
     statistic reads; ``stat_fn(traces, *stat_args[1:])`` maps the (count,
     len(stat_args[0])) array of tr(U^j) over a block (index 0 is the
-    constant 2n) to per-sample statistic columns.  Returns (mean, stderr)
-    per column.  Each block reports (count, mean, M2) per column, and the
-    blocks are merged in block order by the pairwise update of Chan, Golub and LeVeque (1983), which
-    avoids the cancellation of sum(x^2) - N mean^2.  The block decomposition
-    and the merge order are fixed, so the output is identical for every
-    ``threads`` value.  ``n`` must be a non-negative integer and equal
-    ``cfg.n``.
+    constant 2n) to its ``n_stats`` per-sample columns (one column may come
+    as a (count,) array).  Returns (mean, stderr) per column.  A block is
+    named by its index i alone: it holds samples i MC_BLOCK_SIZE onwards,
+    drawn from the seed spawned with key (i,), and reports the mean and M2
+    of every column, reduced as contiguous rows.  The blocks are merged in
+    index order, all columns at once, by the pairwise update of Chan, Golub
+    and LeVeque (1983), which avoids the cancellation of sum(x^2) - N
+    mean^2; so the output is identical for every ``threads`` value.  ``n``
+    must be a non-negative integer equal to ``cfg.n`` and the statistic
+    must have ``n_stats`` columns (PreconditionViolated otherwise).
     """
     n = nonnegative_int(n, "n")
     if cfg.n != n:
@@ -321,26 +314,27 @@ def run_mc(
     indices = stat_args[0]
     if list(indices) != sorted(set(indices)) or (indices and indices[0] < 0):
         raise PreconditionViolated(f"trace indices {indices} are not sorted, distinct and non-negative")
-    blocks = [(n, cfg, index, count, stat_fn, stat_args) for index, count in _blocks(cfg)]
-    if threads > 1 and len(blocks) > 1:
-        with get_context("fork").Pool(processes=min(threads, len(blocks))) as pool:
-            results = pool.map(_mc_block, blocks, chunksize=1)
-    else:
-        results = [_mc_block(b) for b in blocks]
-
     total = cfg.sample_count
-    out = []
-    for col in range(n_stats):
-        seen, mean, m2 = 0, 0.0, 0.0
-        for count, means, m2s in results:
-            delta = means[col] - mean
-            merged = seen + count
-            mean += delta * count / merged
-            m2 += m2s[col] + delta * delta * seen * count / merged
-            seen = merged
-        stderr = math.sqrt(m2 / (total - 1) / total) if total > 1 else 0.0
-        out.append((mean, stderr))
-    return out
+    block = partial(_mc_block, cfg, stat_fn, stat_args)
+    blocks = -(-total // MC_BLOCK_SIZE)
+    if threads > 1 and blocks > 1:
+        with get_context("fork").Pool(processes=min(threads, blocks)) as pool:
+            results = pool.map(block, range(blocks), chunksize=1)
+    else:
+        results = map(block, range(blocks))  # lazy: a wrong column count stops at the first block
+
+    seen, mean, m2 = 0, 0.0, 0.0
+    for means, m2s in results:
+        if len(means) != n_stats:
+            raise PreconditionViolated(f"the statistic gives {len(means)} column(s), not n_stats = {n_stats}")
+        count = min(MC_BLOCK_SIZE, total - seen)
+        delta = means - mean
+        merged = seen + count
+        mean += delta * count / merged
+        m2 += m2s + delta * delta * seen * count / merged
+        seen = merged
+    stderr = np.sqrt(m2 / (total - 1) / total) if total > 1 else np.zeros_like(m2)
+    return [(float(mu), float(se)) for mu, se in zip(mean, stderr)]
 
 
 def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[float, float]:

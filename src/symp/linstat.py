@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools  # unused here: bench/tracer.py swaps linstat.itertools for a counting stand-in
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,21 +42,25 @@ from .partitions import Partition
 class FourierTestFn:
     """Finitely supported even real Fourier table fhat(j) = fhat(-j).
 
-    ``coefficients`` maps j >= 0 to fhat(j); evenness is implicit.  Values may
-    be int/Fraction (exact paths) or float.
+    ``coefficients`` maps j >= 0 to fhat(j); evenness is implicit.  Values
+    are int or Fraction (exact paths) or finite float.
     """
 
     coefficients: tuple[tuple[int, object], ...]
 
     @classmethod
     def from_dict(cls, table: dict) -> "FourierTestFn":
+        """The table {j: fhat(j)}, j >= 0.  Integers (numpy's too) become int,
+        Fractions stay, other finite reals become float; anything else,
+        bool included, raises PreconditionViolated naming the index."""
         items = []
         for key in sorted(table):
             j = integer(key, "Fourier index")
             if j < 0:
                 raise PreconditionViolated("supply only j >= 0; evenness fills in the rest")
-            if table[key] != 0:
-                items.append((j, table[key]))
+            value = _coefficient(j, table[key])
+            if value != 0:
+                items.append((j, value))
         return cls(tuple(items))
 
     @classmethod
@@ -92,6 +97,19 @@ class FourierTestFn:
         for j, v in self.coefficients:
             total += v * v if j == 0 else 2 * v * v
         return total
+
+
+def _coefficient(j: int, value):
+    """fhat(j) as an int, a Fraction or a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionViolated(f"Fourier coefficient {j} = {value!r} is not a real number")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value
+    if not math.isfinite(value):
+        raise PreconditionViolated(f"Fourier coefficient {j} = {value!r} is not finite")
+    return float(value)
 
 
 def _folded_weights(nu: int, pairs) -> dict[int, object]:

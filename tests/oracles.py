@@ -61,9 +61,44 @@ def jacobi_angles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 def angle_stream(cfg: MCConfig) -> Iterator[tuple[float, ...]]:
     """The cfg.sample_count eigenangle tuples of the samples ``symp.haar.run_mc``
     draws for cfg, in order: the same seed blocks, each solved densely."""
-    for index, count in haar._blocks(cfg):
-        for row in jacobi_angles(*haar._block_jacobi(cfg.n, cfg, index, count)):
+    for index in range(-(-cfg.sample_count // haar.MC_BLOCK_SIZE)):
+        for row in jacobi_angles(*haar._block_jacobi(cfg, index)):
             yield tuple(float(t) for t in row)
+
+
+def run_mc_by_columns(n: int, cfg: MCConfig, stat_fn, stat_args: tuple, n_stats: int) -> list[tuple[float, float]]:
+    """``symp.haar.run_mc`` reduced one column at a time: the same seed
+    blocks and traces, each column's block mean as ``column.sum() / count``
+    and the Chan-Golub-LeVeque merge in Python floats, grouped as
+    ``m2 += m2s + cross``.  The library reduces all columns as contiguous
+    rows and merges them as arrays; both orders of summation must agree
+    bit for bit."""
+    per_block = []
+    for index in range(-(-cfg.sample_count // haar.MC_BLOCK_SIZE)):
+        traces = haar._band_traces(*haar._block_jacobi(cfg, index), stat_args[0])
+        count = len(traces)
+        values = stat_fn(traces, *stat_args[1:]).reshape(count, -1)
+        block = []
+        for k in range(n_stats):
+            column = values[:, k]
+            mean = column.sum() / count
+            centred = column - mean
+            block.append((count, float(mean), float((centred * centred).sum())))
+        per_block.append(block)
+    out = []
+    for k in range(n_stats):
+        seen, mean, m2 = 0, 0.0, 0.0
+        for block in per_block:
+            count, block_mean, m2s = block[k]
+            delta = block_mean - mean
+            merged = seen + count
+            mean += delta * count / merged
+            cross = delta * delta * seen * count / merged
+            m2 += m2s + cross
+            seen = merged
+        total = cfg.sample_count
+        out.append((mean, math.sqrt(m2 / (total - 1) / total) if total > 1 else 0.0))
+    return out
 
 
 def trace_power(theta: tuple[float, ...], j: int) -> float:

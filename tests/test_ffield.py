@@ -110,6 +110,7 @@ def test_prime_field_validation():
             PrimeField(q)
     assert chi(PrimeField(7), 2) == 1  # 3^2 = 2 mod 7
     assert chi(PrimeField(7), 0) == 0
+    assert repr(PrimeField(7)) == "PrimeField(7)"
 
 
 def test_poly_basics():
@@ -117,6 +118,8 @@ def test_poly_basics():
     assert poly_mul(F3, (1, 1), (1, 1)) == f
     q, r = poly_divmod(F3, f, (1, 1))
     assert q == (1, 1) and r == ()
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(F3, f, ())
     assert poly_gcd(F3, f, (1, 1)) == (1, 1)
     assert poly_eval(F3, (0, 2, 0, 1), 2) == 0  # x^3 - x vanishes on F_3
 
@@ -157,7 +160,7 @@ def test_square_contribution_needs_no_prime_table():
 
 
 def test_is_irreducible_matches_brute():
-    for f in monic_polys(F3, 3):
+    for f in [(), (2,), *monic_polys(F3, 3)]:  # constants are not irreducible
         assert is_irreducible(F3, f) == brute_irreducible(F3, f)
 
 
@@ -344,6 +347,7 @@ def test_l_polynomial_frozen_example():
     L = l_polynomial(F3, (0, 2, 0, 1))  # y^2 = x^3 - x over F_3
     assert L.c == (1, 0, 3)
     assert L.functional_equation_ok()
+    assert not LPolynomial(3, 1, (1, 0, 4)).functional_equation_ok()  # c_2 = q c_0 fails
     assert frobenius_power_sums(L, 3) == [0, -6, 0]
     assert np.allclose(np.abs(L.inverse_roots()), np.sqrt(3), atol=1e-9)
 
@@ -381,6 +385,7 @@ def test_l_polynomial_reads_h_mod_q():
 def test_l_polynomial_degenerate_n0():
     L = l_polynomial(F3, (1, 1))  # deg h = 1 -> L = 1
     assert L.n == 0 and L.c == (1,)
+    assert L.inverse_roots().shape == (0,)
     assert frobenius_power_sums(L, 4) == [0, 0, 0, 0]
 
 

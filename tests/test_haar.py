@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import _haar_matrix_batch, angle_stream, jacobi_angles, moment_quadrature_full_grid
-from oracles import trace_power, weyl_weight_usp
+from oracles import run_mc_by_columns, trace_power, weyl_weight_usp
 from symp.errors import BudgetExceeded, PreconditionViolated
-from symp import haar
+from symp import haar, linstat
 from symp.haar import (
     MCConfig,
     QuadratureConfig,
@@ -18,6 +18,7 @@ from symp.haar import (
     quadrature_nodes,
     run_mc,
 )
+from symp.linstat import FourierTestFn, statistic_moments_mc
 from symp.moments import moment_usp
 from symp.partitions import Partition, partitions_of_size_at_most
 
@@ -388,6 +389,46 @@ def test_run_mc_rejects_malformed_trace_indices():
             run_mc(1, MCConfig(1, 10, 0), _offset_stat, (indices, 0.0), 1)
     with pytest.raises(PreconditionViolated, match="trace indices"):
         run_mc(1, MCConfig(1, 10, 0), _offset_stat, (), 1)
+
+
+def test_run_mc_refuses_a_column_count_other_than_n_stats():
+    # one column read as two used to die in a bare IndexError, and read as
+    # none it drew every sample and returned []
+    drawn = []
+
+    def recorded(traces, offset):
+        drawn.append(len(traces))
+        return _offset_stat(traces, offset)
+
+    cfg = MCConfig(1, 3 * haar.MC_BLOCK_SIZE, 0)
+    for n_stats in (0, 2):
+        with pytest.raises(PreconditionViolated, match=rf"gives 1 column\(s\), not n_stats = {n_stats}"):
+            run_mc(1, cfg, recorded, ((1,), 0.0), n_stats)
+    assert drawn == [haar.MC_BLOCK_SIZE] * 2  # each refusal comes after the first block
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_mc_reduces_in_the_reference_order(monkeypatch, threads):
+    # The last bits of every estimate depend on the order of summation, and
+    # no statistical test sees them: a merge grouped as (m2 + m2s) + cross
+    # passes every other test.  The reference reduces one column at a time,
+    # so column sums taken down axis 0 of the (count, n_stats) array fail
+    # here too.
+    cases = [
+        lambda: moment_mc(2, Partition({1: 2}), MCConfig(2, 9000, 0), threads),
+        lambda: moment_mc(3, Partition({1: 1, 2: 2}), MCConfig(3, 3 * haar.MC_BLOCK_SIZE + 1, 7), threads),
+        lambda: statistic_moments_mc(2, 1, (1, 2, 3, 4, 5), FourierTestFn.parse("0:1"), MCConfig(2, 10_000, 0), threads),
+        lambda: statistic_moments_mc(4, 3, (2, 4), FourierTestFn.parse("0:1 1:1/2 2:1/3"), MCConfig(4, 5000, 3), threads),
+    ]
+    got = [repr(case()) for case in cases]
+    assert got[0] == "(0.9500167445168117, 0.014176147129602608)"
+
+    def by_columns(n, cfg, stat_fn, stat_args, n_stats, threads):
+        return run_mc_by_columns(n, cfg, stat_fn, stat_args, n_stats)
+
+    monkeypatch.setattr(haar, "run_mc", by_columns)
+    monkeypatch.setattr(linstat, "run_mc", by_columns)
+    assert got == [repr(case()) for case in cases]
 
 
 def _gram_schmidt_angles(n, count, rng):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,34 @@ def test_from_dict_indices_must_be_integers():
     with pytest.raises(PreconditionViolated, match="Fourier index = 1.5 is not an integer"):
         FourierTestFn.from_dict({1.5: 1})
     assert FourierTestFn.from_dict({np.int64(1): 2, 0: 0}).coefficients == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "value,fault",
+    [
+        ("1/2", "is not a real number"),
+        (True, "is not a real number"),
+        (None, "is not a real number"),
+        (1j, "is not a real number"),
+        (math.nan, "is not finite"),
+        (-math.inf, "is not finite"),
+        (np.float64(np.inf), "is not finite"),
+    ],
+)
+def test_from_dict_refuses_values_that_are_not_finite_reals(value, fault):
+    # these used to pass: "1/2" read as 1/2 on the exact route and died in a
+    # bare float() on the Monte Carlo route, True counted as 1, and NaN or
+    # inf came back from Monte Carlo as a quiet (nan, nan)
+    with pytest.raises(PreconditionViolated, match=re.escape(f"Fourier coefficient 2 = {value!r} {fault}")):
+        FourierTestFn.from_dict({0: 1, 2: value})
+
+
+def test_from_dict_normalises_number_types():
+    f = FourierTestFn.from_dict({0: np.int64(2), 1: np.uint8(1), 2: Fraction(1, 2), 3: np.float32(0.25)})
+    assert f.coefficients == ((0, 2), (1, 1), (2, Fraction(1, 2)), (3, 0.25))
+    assert [type(v) for _, v in f.coefficients] == [int, int, Fraction, float]
+    exact = statistic_moment_exact(3, 0, 2, FourierTestFn.from_dict({0: np.int64(2), 1: 1}))
+    assert exact == 148 and type(exact) is int  # a numpy integer used to make it the float 148.0
 
 
 def test_l2_norm():
