@@ -7,7 +7,11 @@
 
 ``cli.main`` catches each class, so no deliberate error leaves ``symp`` as
 a traceback.  ParseError and PreconditionViolated are also ValueErrors.
+The integer checks on arguments live here too, beside the error they
+raise, so that ``partitions`` can use them without importing ``moments``.
 """
+
+from operator import index
 
 
 class SympError(Exception):
@@ -28,3 +32,25 @@ class OutOfRange(SympError):
 
 class BudgetExceeded(SympError):
     """An enumeration, quadrature grid or finite-field table would exceed its cap."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int (``operator.index``); PreconditionViolated naming
+    ``name`` unless it is an integer.  ``bool`` is refused although it
+    subclasses int (numpy's ``bool_`` has no ``__index__``), so ``True``
+    never passes as 1."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise PreconditionViolated(f"{name} = {value!r} is not an integer")
+
+
+def nonnegative_int(value, name: str) -> int:
+    """``value`` as an int; PreconditionViolated naming ``name`` unless it
+    is a non-negative integer."""
+    result = integer(value, name)
+    if result < 0:
+        raise PreconditionViolated(f"{name} = {result} is negative")
+    return result

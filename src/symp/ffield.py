@@ -67,8 +67,7 @@ from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolated
-from .moments import nonnegative_int
+from .errors import BudgetExceeded, PreconditionViolated, nonnegative_int
 from .partitions import Partition
 
 Poly = tuple[int, ...]

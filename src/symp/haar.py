@@ -43,8 +43,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolated
-from .moments import integer, nonnegative_int
+from .errors import BudgetExceeded, PreconditionViolated, integer, nonnegative_int
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
@@ -66,10 +65,14 @@ class MCConfig:
     rng_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.sample_count, (int, np.integer)) or self.sample_count < 1:
+        if _not_int(self.sample_count) or self.sample_count < 1:
             raise PreconditionViolated(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+        if _not_int(self.rng_seed) or self.rng_seed < 0:
             raise PreconditionViolated(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+
+
+def _not_int(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, (int, np.integer))
 
 
 def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:

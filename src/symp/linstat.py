@@ -32,9 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError, PreconditionViolated
+from .errors import OutOfRange, ParseError, PreconditionViolated, integer, nonnegative_int
 from .haar import MCConfig, run_mc
-from .moments import double_factorial, even_indicator, integer, moment_usp_sum, nonnegative_int
+from .moments import double_factorial, even_indicator, moment_usp_sum
 from .partitions import Partition
 
 

@@ -48,10 +48,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import OutOfRange, PreconditionViolated
+from .errors import OutOfRange, PreconditionViolated, integer, nonnegative_int
 from .partitions import Partition, sub_partitions
 
 
@@ -116,24 +116,6 @@ def nongaussian_correction(n: int, c: Partition) -> int:
         if d.size <= bound:
             acc += (-1) ** d.length * c.binomial(d)
     return -acc
-
-
-def integer(value, name: str) -> int:
-    """``value`` as an int (``operator.index``); PreconditionViolated naming
-    ``name`` unless it is an integer."""
-    try:
-        return index(value)
-    except TypeError:
-        raise PreconditionViolated(f"{name} = {value!r} is not an integer") from None
-
-
-def nonnegative_int(value, name: str) -> int:
-    """``value`` as an int; PreconditionViolated naming ``name`` unless it
-    is a non-negative integer."""
-    result = integer(value, name)
-    if result < 0:
-        raise PreconditionViolated(f"{name} = {result} is negative")
-    return result
 
 
 def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:

@@ -4,6 +4,10 @@ Every moment formula in this package is indexed by such a partition.  The
 representation is sparse because the linear-statistics sweeps use partitions
 whose part sizes are huge (comparable to the matrix dimension) while the
 support stays tiny.
+
+A Partition from outside input (a mapping, ``parse``, ``__sub__``) passes
+through the validating constructor.  The enumerators here build theirs with
+``Partition._trusted`` instead, from items they know to be canonical.
 """
 
 from __future__ import annotations
@@ -11,10 +15,9 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb
-from operator import index
 from typing import Iterator, Mapping
 
-from .errors import BudgetExceeded, ParseError, PreconditionViolated
+from .errors import BudgetExceeded, ParseError, PreconditionViolated, integer
 
 _TERM_RE = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -30,11 +33,11 @@ class Partition:
         items = []
         length = size = 0
         if parts:
-            for key in sorted(parts):
+            for key, value in parts.items():
                 try:
-                    j, m = index(key), index(parts[key])
-                except TypeError:
-                    raise PreconditionViolated(f"invalid partition entry {key!r}:{parts[key]!r}: not an integer") from None
+                    j, m = integer(key, "part size"), integer(value, "multiplicity")
+                except PreconditionViolated:
+                    raise PreconditionViolated(f"invalid partition entry {key!r}:{value!r}: not an integer") from None
                 if m == 0:
                     continue
                 if j < 1 or m < 0:
@@ -42,9 +45,23 @@ class Partition:
                 items.append((j, m))
                 length += m
                 size += j * m
+        items.sort()
         self._items = tuple(items)
         self._length = length
         self._size = size
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[int, int], ...], length: int, size: int) -> "Partition":
+        """The partition with these canonical items, unchecked: part sizes
+        strictly ascending ints >= 1, multiplicities ints >= 1, ``length``
+        their sum and ``size`` the sum of j * a_j.  For the enumerators
+        below, which build only such items; outside input goes through
+        ``__init__``."""
+        self = object.__new__(cls)
+        self._items = items
+        self._length = length
+        self._size = size
+        return self
 
     @property
     def items(self) -> tuple[tuple[int, int], ...]:
@@ -123,31 +140,59 @@ class Partition:
 def sub_partitions(a: Partition) -> Iterator[Partition]:
     """All b <= a, exactly prod_j (a_j + 1) of them, in lexicographic order
     of the multiplicity vector (ordered by part size, then multiplicity)."""
-    support = a.support
-    ranges = [range(m + 1) for _, m in a.items]
-    for mults in itertools.product(*ranges):
-        yield Partition({j: m for j, m in zip(support, mults) if m})
+    items = a.items
+    for mults in itertools.product(*[range(m + 1) for _, m in items]):
+        sub = tuple((j, m) for (j, _), m in zip(items, mults) if m)
+        yield Partition._trusted(sub, sum(mults), sum(j * m for j, m in sub))
 
 
 def partitions_of_size_exactly(k: int) -> Iterator[Partition]:
-    """Partitions of size exactly k, largest part first ordering."""
+    """Partitions of size exactly k, largest part first: in reverse
+    lexicographic order of the parts listed largest first, so k comes
+    first and 1^k last.  Nothing when k < 0; PreconditionViolated unless k
+    is an integer (``bool`` refused).
 
-    def descend(remaining: int, max_part: int, acc: list[int]) -> Iterator[list[int]]:
-        if remaining == 0:
-            yield acc
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            yield from descend(remaining - part, part, acc + [part])
-
-    for shape in descend(k, k if k else 1, []):
-        mults: dict[int, int] = {}
-        for part in shape:
-            mults[part] = mults.get(part, 0) + 1
-        yield Partition(mults)
+    The parts are kept as a stack of (part, multiplicity) pairs, largest
+    part at the bottom (Zoghbi and Stojmenovic's ZS1, in multiplicity
+    form).  The successor takes the smallest part j > 1 together with all
+    the 1s, removes one copy of j and refills the freed total with as many
+    parts j - 1 as fit plus one remainder part; once only 1s are left there
+    is none.  A step costs O(1) amortised; read from the top, the stack is
+    already the canonical items, so each partition is built unchecked.
+    """
+    k = integer(k, "size")
+    if k < 0:
+        return
+    trusted = Partition._trusted
+    if k == 0:
+        yield trusted((), 0, 0)
+        return
+    stack = [(k, 1)]
+    length = 1
+    while True:
+        yield trusted(tuple(reversed(stack)), length, k)
+        free = 0
+        if stack[-1][0] == 1:
+            free = stack.pop()[1]
+            length -= free
+            if not stack:
+                return
+        j, m = stack.pop()
+        if m > 1:
+            stack.append((j, m - 1))
+        q, r = divmod(free + j, j - 1)
+        stack.append((j - 1, q))
+        length += q - 1
+        if r:
+            stack.append((r, 1))
+            length += 1
 
 
 def partitions_of_size_at_most(n: int) -> Iterator[Partition]:
-    """All partitions with size <= n, by ascending size then shape order."""
+    """All partitions with size <= n, by ascending size then shape order.
+    Nothing when n < 0; PreconditionViolated unless n is an integer,
+    BudgetExceeded when n exceeds DEFAULT_SIZE_CAP."""
+    n = integer(n, "size bound")
     if n > DEFAULT_SIZE_CAP:
         raise BudgetExceeded(f"size bound {n} exceeds cap {DEFAULT_SIZE_CAP}")
     for k in range(n + 1):

@@ -1,4 +1,10 @@
-"""Test-only references for ``symp.haar``, ``symp.linstat`` and ``symp.ffield``.
+"""Test-only references for ``symp.partitions``, ``symp.haar``, ``symp.linstat``
+and ``symp.ffield``.
+
+The library enumerates partitions by a successor rule on (part,
+multiplicity) pairs and builds each one unchecked; the references here
+descend recursively through the parts and build every partition through the
+validating constructor from a dict.
 
 The library samples Jacobi matrices from the Killip-Nenciu model, reads
 traces through the Chebyshev recursion and sums its Gauss rule over
@@ -25,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from symp import haar
-from symp.errors import BudgetExceeded, PreconditionViolated
+from symp.errors import BudgetExceeded, PreconditionViolated, integer, nonnegative_int
 from symp.ffield import (
     Poly,
     PrimeField,
@@ -42,8 +48,34 @@ from symp.ffield import (
 )
 from symp.haar import _MAX_GRID_POINTS, MCConfig, QuadratureConfig, default_nodes, quadrature_nodes
 from symp.linstat import FourierTestFn
-from symp.moments import double_factorial, integer, nonnegative_int
+from symp.moments import double_factorial
 from symp.partitions import Partition
+
+
+def partitions_by_descent(k: int) -> Iterator[Partition]:
+    """Partitions of size exactly k, largest part first, by recursive
+    descent over the next part, each built from a dict of multiplicities."""
+
+    def descend(remaining: int, max_part: int, acc: list[int]) -> Iterator[list[int]]:
+        if remaining == 0:
+            yield acc
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            yield from descend(remaining - part, part, acc + [part])
+
+    for shape in descend(k, k if k else 1, []):
+        mults: dict[int, int] = {}
+        for part in shape:
+            mults[part] = mults.get(part, 0) + 1
+        yield Partition(mults)
+
+
+def sub_partitions_by_dict(a: Partition) -> Iterator[Partition]:
+    """All b <= a in lexicographic order of the multiplicity vector, each
+    built from a dict of its nonzero multiplicities."""
+    support = a.support
+    for mults in itertools.product(*[range(m + 1) for _, m in a.items]):
+        yield Partition({j: m for j, m in zip(support, mults) if m})
 
 
 def jacobi_angles(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

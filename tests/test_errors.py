@@ -8,7 +8,8 @@ from symp import cli
 from symp.errors import BudgetExceeded, OutOfRange, ParseError, PreconditionViolated
 from symp.ffield import PrimeField, l_polynomial
 from symp.haar import MCConfig, QuadratureConfig, moment_quadrature
-from symp.linstat import FourierTestFn
+from symp.linstat import FourierTestFn, statistic_moment_exact
+from symp.moments import moment_usp, moment_usp_sum
 from symp.partitions import Partition
 
 
@@ -39,6 +40,12 @@ def test_each_leaf_class_has_one_exit_code(monkeypatch, capsys, error, code):
         (lambda: PrimeField(4), "q must be an odd prime, got 4"),
         (lambda: MCConfig(1, 2.5, 0), "sample_count must be an integer >= 1, got 2.5"),
         (lambda: MCConfig(1, 10, -1), "rng_seed must be a non-negative integer, got -1"),
+        (lambda: MCConfig(1, True, 0), "sample_count must be an integer >= 1, got True"),
+        (lambda: MCConfig(1, 10, False), "rng_seed must be a non-negative integer, got False"),
+        (lambda: moment_usp(True, Partition({1: 2})), "n = True is not an integer"),
+        (lambda: moment_usp_sum(2, 2, [(1, True)]), "block weight = True is not an integer"),
+        (lambda: FourierTestFn.from_dict({True: 1}), "Fourier index = True is not an integer"),
+        (lambda: statistic_moment_exact(3, True, 2, FourierTestFn.from_dict({1: 1})), "nu = True is not an integer"),
         (lambda: Partition({1.5: 2}), "invalid partition entry 1.5:2: not an integer"),
         (lambda: Partition({0: 1}), "invalid partition entry 0:1"),
         (lambda: FourierTestFn.from_dict({-1: 1}), "supply only j >= 0; evenness fills in the rest"),

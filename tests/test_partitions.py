@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from math import prod
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from symp.partitions import (
     sub_partitions,
 )
 
+from oracles import partitions_by_descent, sub_partitions_by_dict
+
 parts_dicts = st.dictionaries(st.integers(1, 9), st.integers(1, 4), max_size=4)
 
 
@@ -25,6 +29,15 @@ def brute_partition_count(k):
         return sum(count(remaining - p, p) for p in range(min(remaining, max_part), 0, -1))
 
     return count(k, k if k else 1)
+
+
+def coin_change_count(k):
+    """Number of partitions of k by the coin-change recurrence over part sizes."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            ways[total] += ways[total - part]
+    return ways[k]
 
 
 def test_length_and_size():
@@ -74,9 +87,39 @@ def test_partition_counts():
     assert len(list(partitions_of_size_exactly(4))) == brute_partition_count(4) == 5
     assert len(list(partitions_of_size_exactly(5))) == brute_partition_count(5) == 7
     assert list(partitions_of_size_at_most(0)) == [Partition()]
-    for k in range(9):
-        got = sum(1 for p in partitions_of_size_at_most(8) if p.size == k)
-        assert got == brute_partition_count(k)
+    for bound, count, total in [(8, brute_partition_count, 67), (40, coin_change_count, 215_308)]:
+        sizes = Counter(p.size for p in partitions_of_size_at_most(bound))
+        assert [sizes[k] for k in range(bound + 1)] == [count(k) for k in range(bound + 1)]
+        assert sum(sizes.values()) == total
+
+
+def test_enumeration_matches_recursive_descent():
+    """Same partitions in the same order as the recursive reference, and
+    every one built unchecked equals its validated rebuild."""
+    seen = 0
+    for k in range(31):
+        got = list(partitions_of_size_exactly(k))
+        assert got == list(partitions_by_descent(k))
+        for p in got:
+            rebuilt = Partition(dict(p.items))
+            assert p == rebuilt and hash(p) == hash(rebuilt)
+            assert (p.length, p.size) == (rebuilt.length, rebuilt.size) and p.size == k
+        seen += len(got)
+    assert seen == 28_629
+
+
+@pytest.mark.parametrize("bound", [2.5, "3", True, np.float64(4.0)])
+def test_enumerator_bounds_must_be_integers(bound):
+    with pytest.raises(PreconditionViolated, match=r"size bound = .* is not an integer"):
+        list(partitions_of_size_at_most(bound))
+    with pytest.raises(PreconditionViolated, match=r"size = .* is not an integer"):
+        list(partitions_of_size_exactly(bound))
+
+
+def test_negative_bounds_yield_nothing():
+    assert list(partitions_of_size_at_most(-1)) == []
+    assert list(partitions_of_size_exactly(-3)) == []
+    assert list(partitions_of_size_at_most(np.int64(2))) == list(partitions_of_size_at_most(2))
 
 
 def test_cap():
@@ -126,12 +169,12 @@ def test_binomial_row_sum(d):
 def test_sub_partition_cardinality(d):
     a = Partition(d)
     subs = list(sub_partitions(a))
-    expected = 1
-    for _, m in a.items:
-        expected *= m + 1
-    assert len(subs) == expected
-    assert len(set(subs)) == expected
+    assert subs == list(sub_partitions_by_dict(a))
+    assert len(subs) == len(set(subs)) == prod(m + 1 for _, m in a.items)
     assert all(b <= a for b in subs)
+    for b in subs:
+        rebuilt = Partition(dict(b.items))
+        assert (b.length, b.size, hash(b)) == (rebuilt.length, rebuilt.size, hash(rebuilt))
 
 
 def test_canonical_form():
@@ -144,7 +187,16 @@ def test_canonical_form():
 
 
 def test_entries_must_be_integers():
-    for parts, entry in [({1: 2.9}, "1:2.9"), ({1.5: 1}, "1.5:1"), ({2.0: 0}, "2.0:0"), ({1: "2"}, "1:'2'")]:
+    for parts, entry in [
+        ({1: 2.9}, "1:2.9"),
+        ({1.5: 1}, "1.5:1"),
+        ({2.0: 0}, "2.0:0"),
+        ({1: "2"}, "1:'2'"),
+        ({True: 2}, "True:2"),
+        ({1: True}, "1:True"),
+        ({2: np.True_}, "2:np.True_"),
+        ({1: 1, "x": 2}, "'x':2"),
+    ]:
         with pytest.raises(ValueError, match=f"invalid partition entry {re.escape(entry)}: not an integer"):
             Partition(parts)
     a = Partition({np.int64(2): np.int32(3), 1: np.int64(1)})  # numpy integers pass, stored as int
