@@ -54,3 +54,12 @@ def nonnegative_int(value, name: str) -> int:
     if result < 0:
         raise PreconditionViolated(f"{name} = {result} is negative")
     return result
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an int; PreconditionViolated naming ``name`` unless it
+    is an integer >= 1."""
+    result = integer(value, name)
+    if result < 1:
+        raise PreconditionViolated(f"{name} = {result} is below 1")
+    return result

@@ -19,15 +19,17 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   draws give an n x n Jacobi matrix J whose eigenvalues are the
   2 cos 2 pi theta_k.  Statistics read the trace columns tr(U^j) with no
   eigensolve: tr(U^j) = tr C_j(J) for the Chebyshev recursion
-  C_j = x C_{j-1} - C_{j-2}, read from banded powers of J.  Sampling is
-  blocked, and a block is named by its index alone: the index fixes its
-  sample count and its seed, spawned from the root seed.  Every block is
-  drawn by the same helper, reduces each statistic column as one
-  contiguous row, and the blocks merge in index order, so results are
-  bit-for-bit reproducible and independent of the worker count.  The
-  tests check the sampler against group elements built by quaternionic
-  Gram-Schmidt at small n, and against the angles of a dense eigensolve of
-  the same Jacobi matrices.
+  C_j = x C_{j-1} - C_{j-2}, read from banded powers of J.  The recursion
+  runs over a block in equal chunks of samples, sized to stay in cache,
+  and no value depends on the chunking.  Sampling is blocked, and a block
+  is named by its index alone: the index fixes its sample count and its
+  seed, spawned from the root seed.  Every block is drawn by the same
+  helper, reduces each statistic column as one contiguous row, and the
+  blocks merge in index order, so results are bit-for-bit reproducible and
+  independent of the worker count.  The tests check the sampler against
+  group elements built by quaternionic Gram-Schmidt at small n, against
+  the angles of a dense eigensolve of the same Jacobi matrices, and the
+  chunked recursion against one whole-batch pass, bit for bit.
 
 Angles are measured in turns (eigenvalues e^(2 pi i theta)), theta in
 [0, 1/2], throughout.
@@ -43,13 +45,15 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolated, integer, nonnegative_int
+from .errors import BudgetExceeded, PreconditionViolated, integer, nonnegative_int, positive_int
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
 _MAX_GRID_POINTS = 4_000_000
-# cap on one band array of the trace recursion
-_CHUNK_BYTES = 32 << 20
+# cap on one band array of the trace recursion per chunk of samples, sized so
+# that a chunk's recursion stays in cache (the best of a measured grid from
+# 256 KiB to 4 MiB); no value depends on it
+_CHUNK_BYTES = 768 << 10
 
 
 @dataclass(frozen=True)
@@ -211,51 +215,65 @@ def _band_traces(diag: np.ndarray, off: np.ndarray, indices: tuple[int, ...]) ->
     C_j(2 cos phi) = 2 cos(j phi), so tr(U^j) = tr C_j(J) for the Jacobi
     matrix J, where C_0 = 2, C_1 = x and C_k = x C_{k-1} - C_{k-2}.  C_k(J)
     is symmetric with bandwidth min(k, n-1) and is stored by its upper
-    diagonals, band[d, i, :] = C_k(J)[i, i+d] over the batch (zero past the
-    matrix), so a step of the recursion costs O(n k) per sample.  C_j C_k =
-    C_{j+k} + C_{|j-k|} turns traces of the high half into Frobenius
+    diagonals, band[d, i, :] = C_k(J)[i, i+d] over the samples (zero past
+    the matrix), so a step of the recursion costs O(n k) per sample.  C_j
+    C_k = C_{j+k} + C_{|j-k|} turns traces of the high half into Frobenius
     products of the low half:
 
         tr C_{2k} = ||C_k||_F^2 - 2n,    tr C_{2k+1} = <C_k, C_{k+1}>_F - tr J,
 
     so only C_0 .. C_{ceil(j_max/2)} are built.  The cost is O(n j_max^2)
     per sample, below one dense eigensolve while j_max stays near n or
-    under.  Batches whose bands exceed _CHUNK_BYTES run in chunks.
+    under.
+
+    The batch runs in equal chunks of samples, sized so that one band array
+    stays within _CHUNK_BYTES and a chunk's recursion stays in cache, on
+    three band buffers allocated once: C_{k-2}, C_{k-1} and the products of
+    a step.  Every step is elementwise per sample, and no chunk of a batch
+    of two or more holds a single sample (einsum sums a one-sample batch in
+    another order), so no value depends on the chunking.
     """
     batch, n = diag.shape
     top = (indices[-1] + 1) // 2 if indices else 0
     width = max(0, min(top, n - 1))
-    step = max(1, _CHUNK_BYTES // (8 * (width + 2) * max(n, 1)))
-    if batch > step:
-        chunks = [_band_traces(diag[lo : lo + step], off[lo : lo + step], indices) for lo in range(0, batch, step)]
-        return np.concatenate(chunks)
-    b = np.ascontiguousarray(diag.T)  # samples last: every shift below is a contiguous run
-    a = np.zeros((n, batch))  # a[i] = J[i, i+1]; the last is 0
-    a[: n - 1] = off.T
-    prev = np.zeros((width + 2, n, batch))  # the row past the bandwidth stays 0: shifts read it
-    prev[0] = 2.0
-    cur = np.zeros_like(prev)
-    cur[0] = b
-    cur[1] = a
-    trace_j = b.sum(axis=0)
+    per_sample = (width + 2) * n  # C_k's diagonals and one zero row, which shifts read
+    longest = max(1, _CHUNK_BYTES // (8 * max(per_sample, 1)))
+    chunks = max(1, min(-(-batch // longest), batch // 2))  # equal, and of one sample only if batch is
+    bands = np.empty((3, per_sample * -(-batch // chunks)))  # C_{k-2}, C_{k-1} and a step's products
     columns = {j: column for column, j in enumerate(indices)}
     out = np.empty((batch, len(indices)))
     if 0 in columns:
         out[:, columns[0]] = 2.0 * n
-    for k in range(1, top + 1):
-        rows = min(k, width) + 2  # C_k's diagonals and one zero row
-        if k > 1:
-            c, step = cur[:rows], prev[:rows]  # C_k = J C_{k-1} - C_{k-2}, in C_{k-2}'s place
-            np.negative(step, out=step)
-            step += b * c
-            step[:-1, 1:] += a[:-1] * c[1:, :-1]  # J[i, i-1] C[i-1, i+d]
-            step[1:, :-1] += a[:-1] * c[:-1, 1:]  # J[i, i+1] C[i+1, i+d], d >= 1
-            step[0, :-1] += a[:-1] * c[1, :-1]  # J[i, i+1] C[i+1, i], d = 0
-            prev, cur = cur, prev
-        if 2 * k - 1 in columns:
-            out[:, columns[2 * k - 1]] = _frobenius(prev[:rows], cur[:rows]) - trace_j
-        if 2 * k in columns:
-            out[:, columns[2 * k]] = _frobenius(cur[:rows], cur[:rows]) - 2.0 * n
+    for chunk in range(chunks):
+        lo, hi = batch * chunk // chunks, batch * (chunk + 1) // chunks
+        prev, cur, scratch = (band[: per_sample * (hi - lo)].reshape(width + 2, n, hi - lo) for band in bands)
+        prev.fill(0.0)
+        cur.fill(0.0)
+        b = np.ascontiguousarray(diag[lo:hi].T)  # samples last: every shift below is a contiguous run
+        a = np.zeros((n, hi - lo))  # a[i] = J[i, i+1]; the last is 0
+        a[: n - 1] = off[lo:hi].T
+        prev[0] = 2.0
+        cur[0] = b
+        cur[1] = a
+        trace_j = b.sum(axis=0)
+        for k in range(1, top + 1):
+            rows = min(k, width) + 2
+            if k > 1:
+                c, step, t = cur[:rows], prev[:rows], scratch[:rows]  # C_k = J C_{k-1} - C_{k-2}, in C_{k-2}'s place
+                np.multiply(b, c, out=t)
+                np.subtract(t, step, out=step)  # t - s is -s + t exactly
+                t = t[:-1, :-1]
+                np.multiply(a[:-1], c[1:, :-1], out=t)  # J[i, i-1] C[i-1, i+d]
+                step[:-1, 1:] += t
+                np.multiply(a[:-1], c[:-1, 1:], out=t)  # J[i, i+1] C[i+1, i+d], d >= 1
+                step[1:, :-1] += t
+                np.multiply(a[:-1], c[1, :-1], out=t[0])  # J[i, i+1] C[i+1, i], d = 0
+                step[0, :-1] += t[0]
+                prev, cur = cur, prev
+            if 2 * k - 1 in columns:
+                out[lo:hi, columns[2 * k - 1]] = _frobenius(prev[:rows], cur[:rows]) - trace_j
+            if 2 * k in columns:
+                out[lo:hi, columns[2 * k]] = _frobenius(cur[:rows], cur[:rows]) - 2.0 * n
     return out
 
 
@@ -279,10 +297,11 @@ def _mc_block(cfg: MCConfig, stat_fn, stat_args: tuple, index: int) -> tuple[np.
     are computed together or in separate equal-seed runs."""
     traces = _band_traces(*_block_jacobi(cfg, index), stat_args[0])
     count = len(traces)
-    rows = np.ascontiguousarray(np.reshape(stat_fn(traces, *stat_args[1:]), (count, -1)).T)
+    rows = np.array(np.reshape(stat_fn(traces, *stat_args[1:]), (count, -1)).T, dtype=float, order="C")
     means = rows.sum(axis=1) / count
-    centred = rows - means[:, None]
-    return means, (centred * centred).sum(axis=1)
+    rows -= means[:, None]  # a copy of the statistic's output: centred and squared in place
+    np.multiply(rows, rows, out=rows)
+    return means, rows.sum(axis=1)
 
 
 def run_mc(
@@ -307,9 +326,11 @@ def run_mc(
     and LeVeque (1983), which avoids the cancellation of sum(x^2) - N
     mean^2; so the output is identical for every ``threads`` value.  ``n``
     must be a non-negative integer equal to ``cfg.n`` and the statistic
-    must have ``n_stats`` columns (PreconditionViolated otherwise).
+    must have ``n_stats`` columns, and ``threads`` must be an integer >= 1
+    (PreconditionViolated otherwise).
     """
     n = nonnegative_int(n, "n")
+    threads = positive_int(threads, "threads")
     if cfg.n != n:
         raise PreconditionViolated(f"MCConfig is for n = {cfg.n}, not n = {n}")
     if not stat_args:
@@ -341,8 +362,10 @@ def run_mc(
 
 
 def moment_mc(n: int, a: Partition, cfg: MCConfig, threads: int = 1) -> tuple[float, float]:
-    """Sample mean and standard error of prod_j tr(U^j)^{a_j} over Haar USp(2n)."""
+    """Sample mean and standard error of prod_j tr(U^j)^{a_j} over Haar USp(2n).
+    ``threads`` must be an integer >= 1, even for the empty partition."""
     n = nonnegative_int(n, "n")
+    positive_int(threads, "threads")
     if not a and cfg.n == n:  # run_mc rejects a config for another n
         return (1.0, 0.0)
     exponents = tuple(m for _, m in a.items)

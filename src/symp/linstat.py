@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError, PreconditionViolated, integer, nonnegative_int
+from .errors import OutOfRange, ParseError, PreconditionViolated, integer, nonnegative_int, positive_int
 from .haar import MCConfig, run_mc
 from .moments import double_factorial, even_indicator, moment_usp_sum
 from .partitions import Partition
@@ -202,10 +202,11 @@ def statistic_moments_mc(
     """Monte Carlo (estimate, stderr) of E[W^m] for each m, from one shared
     sample stream (identical to separate equal-seed runs, just cheaper).
     n and every m must be non-negative integers and nu an integer; no
-    orders give [] without a draw."""
+    orders give [] without a draw; threads must be an integer >= 1."""
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     ms = tuple(nonnegative_int(m, "moment order m") for m in ms)
+    positive_int(threads, "threads")
     if not ms and cfg.n == n:  # run_mc rejects a config for another n
         return []
     pairs = [(j, float(v)) for j, v in f.coefficients]

@@ -7,13 +7,14 @@ descend recursively through the parts and build every partition through the
 validating constructor from a dict.
 
 The library samples Jacobi matrices from the Killip-Nenciu model, reads
-traces through the Chebyshev recursion and sums its Gauss rule over
-increasing node tuples; these are the independent references the tests
-check it against: eigenangles by a dense eigensolve of the same Jacobi
-matrices, group elements by quaternionic Gram-Schmidt, the Weyl eigenangle
-density, traces from angles, the linear statistic from its definition and
-the full tensor-grid Gauss rule.  Angles are in turns, one ascending tuple
-per sample.
+traces through the Chebyshev recursion in cache-sized chunks and sums its
+Gauss rule over increasing node tuples; these are the independent
+references the tests check it against: eigenangles by a dense eigensolve of
+the same Jacobi matrices, the recursion as one whole-batch pass (the
+bit-for-bit reference for every chunking), group elements by quaternionic
+Gram-Schmidt, the Weyl eigenangle density, traces from angles, the linear
+statistic from its definition and the full tensor-grid Gauss rule.  Angles
+are in turns, one ascending tuple per sample.
 
 The F_q helpers at the end work one polynomial at a time (factorization,
 Euler's criterion, the von Mangoldt function, the prime powers of one
@@ -131,6 +132,50 @@ def run_mc_by_columns(n: int, cfg: MCConfig, stat_fn, stat_args: tuple, n_stats:
         total = cfg.sample_count
         out.append((mean, math.sqrt(m2 / (total - 1) / total) if total > 1 else 0.0))
     return out
+
+
+def band_traces_whole_batch(diag: np.ndarray, off: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
+    """``symp.haar._band_traces`` as one pass over the whole batch: fresh
+    band arrays, a fresh temporary per product, and C_{k-2} negated before
+    the terms of J C_{k-1} are added.  The library runs the same recursion
+    in cache-sized chunks on reused buffers and subtracts C_{k-2} in one
+    step; its columns must equal these bit for bit, for every chunking."""
+    batch, n = diag.shape
+    top = (indices[-1] + 1) // 2 if indices else 0
+    width = max(0, min(top, n - 1))
+    b = np.ascontiguousarray(diag.T)
+    a = np.zeros((n, batch))
+    a[: n - 1] = off.T
+    prev = np.zeros((width + 2, n, batch))
+    prev[0] = 2.0
+    cur = np.zeros_like(prev)
+    cur[0] = b
+    cur[1] = a
+    trace_j = b.sum(axis=0)
+    columns = {j: column for column, j in enumerate(indices)}
+    out = np.empty((batch, len(indices)))
+    if 0 in columns:
+        out[:, columns[0]] = 2.0 * n
+    for k in range(1, top + 1):
+        rows = min(k, width) + 2
+        if k > 1:
+            c, step = cur[:rows], prev[:rows]
+            np.negative(step, out=step)
+            step += b * c
+            step[:-1, 1:] += a[:-1] * c[1:, :-1]
+            step[1:, :-1] += a[:-1] * c[:-1, 1:]
+            step[0, :-1] += a[:-1] * c[1, :-1]
+            prev, cur = cur, prev
+        if 2 * k - 1 in columns:
+            out[:, columns[2 * k - 1]] = _frobenius_whole_batch(prev[:rows], cur[:rows]) - trace_j
+        if 2 * k in columns:
+            out[:, columns[2 * k]] = _frobenius_whole_batch(cur[:rows], cur[:rows]) - 2.0 * n
+    return out
+
+
+def _frobenius_whole_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<X, Y>_F per sample for symmetric X, Y stored by upper diagonals."""
+    return 2.0 * np.einsum("dib,dib->b", x, y) - np.einsum("ib,ib->b", x[0], y[0])
 
 
 def trace_power(theta: tuple[float, ...], j: int) -> float:

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from oracles import _haar_matrix_batch, angle_stream, jacobi_angles, moment_quadrature_full_grid
-from oracles import run_mc_by_columns, trace_power, weyl_weight_usp
+from oracles import band_traces_whole_batch, run_mc_by_columns, trace_power, weyl_weight_usp
 from symp.errors import BudgetExceeded, PreconditionViolated
 from symp import haar, linstat
 from symp.haar import (
@@ -339,6 +340,78 @@ def test_band_route_in_chunks(monkeypatch):
     whole = _band_traces(diag, off, (1, 4, 9, 20))
     monkeypatch.setattr(haar, "_CHUNK_BYTES", 8 * 11 * 10 * 30)  # 30 samples per chunk: 9 + 2 diagonals, n = 10
     assert np.array_equal(_band_traces(diag, off, (1, 4, 9, 20)), whole)
+
+
+CHUNK_BYTES = haar._CHUNK_BYTES
+SMALL_BATCHES, LARGE_BATCHES = (1, 2, 3, 7, 257), (1808, 4096)
+
+
+def _index_sets(n):
+    """Every j <= 4n+1; each of 1, n, 2n and 4n+1 alone; and a sparse set."""
+    top = 4 * n + 1
+    return [tuple(range(top + 1)), (1,), (n,), (2 * n,), (top,), tuple(sorted({0, 2, n + 1, 2 * n + 3}))]
+
+
+def _assert_band_route_equals_whole_batch(monkeypatch, sizes, chunkings):
+    # byte caps on one band array; None keeps the library's own
+    rng = np.random.default_rng(14)
+    for n, batches in sizes:
+        diag, off = _jacobi_batch(n, max(batches), rng)
+        for batch, indices in itertools.product(batches, _index_sets(n)):
+            expected = band_traces_whole_batch(diag[:batch], off[:batch], indices)
+            for chunk_bytes in chunkings:
+                monkeypatch.setattr(haar, "_CHUNK_BYTES", chunk_bytes or CHUNK_BYTES)
+                got = _band_traces(diag[:batch], off[:batch], indices)
+                assert np.array_equal(got, expected), (n, batch, indices, chunk_bytes)
+
+
+def test_band_route_equals_the_whole_batch_pass(monkeypatch):
+    # The chunked recursion on reused buffers gives the columns of the
+    # whole-batch pass bit for bit, whatever the chunking.  64 KiB makes
+    # 273-sample chunks at n = 5 and j <= 21, so that a split into full
+    # chunks would leave one sample of 4096 = 15 * 273 + 1 on its own, where
+    # einsum sums in another order; 3000 bytes makes chunks of two or three
+    # samples.  The slow test below takes n = 45, and 1808 and 4096 samples
+    # at n = 30 and 45.
+    sizes = [(n, SMALL_BATCHES) for n in (0, 1, 2, 3, 5, 10, 30)]
+    _assert_band_route_equals_whole_batch(monkeypatch, sizes, (None, 64 << 10, 3000))
+    sizes = [(n, LARGE_BATCHES) for n in (0, 1, 2, 3, 5, 10)]
+    _assert_band_route_equals_whole_batch(monkeypatch, sizes, (None, 64 << 10))
+
+
+@pytest.mark.slow
+def test_band_route_equals_the_whole_batch_pass_at_large_n(monkeypatch):
+    _assert_band_route_equals_whole_batch(monkeypatch, [(45, SMALL_BATCHES)], (None, 64 << 10, 3000))
+    _assert_band_route_equals_whole_batch(monkeypatch, [(30, LARGE_BATCHES), (45, LARGE_BATCHES)], (None,))
+
+
+def test_statistic_moments_mc_is_pinned():
+    # the mc benchmark's n = 30 statistic op, as the whole-batch recursion
+    # gave it: every bit of both columns
+    f = FourierTestFn.parse("0:1")
+    pinned = {
+        1: "[(31.842980621319832, 2.1780636838839333), (3438.1396958983705, 688.2454004160586)]",
+        2024: "[(32.123902043533946, 2.062668598660593), (3206.0465756796966, 563.4182373115881)]",
+    }
+    for seed, expected in pinned.items():
+        assert repr(statistic_moments_mc(30, 30, (2, 4), f, MCConfig(30, 512, seed))) == expected, seed
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2", None])
+def test_threads_must_be_an_integer_of_at_least_one(threads):
+    # each of these used to run as if valid (0, -3, True) or die in a bare TypeError
+    f, text = FourierTestFn.parse("0:1"), "threads = .* (is not an integer|is below 1)"
+    calls = [
+        lambda: run_mc(1, MCConfig(1, 10, 0), _offset_stat, ((1,), 0.0), 1, threads),
+        lambda: moment_mc(1, Partition({1: 2}), MCConfig(1, 10, 0), threads),
+        lambda: moment_mc(1, Partition(), MCConfig(1, 10, 0), threads),
+        lambda: statistic_moments_mc(1, 1, (2,), f, MCConfig(1, 10, 0), threads),
+        lambda: statistic_moments_mc(1, 1, (), f, MCConfig(1, 10, 0), threads),
+        lambda: linstat.statistic_moment_mc(1, 1, 2, f, MCConfig(1, 10, 0), threads),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionViolated, match=text):
+            call()
 
 
 # The angles (first, last, fsum) of the Monte Carlo draws, for n = 30 in one
