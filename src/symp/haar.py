@@ -11,8 +11,11 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   integrand is symmetric in the n angles and vanishes where two nodes
   coincide, so the rule sums over the C(N, n) strictly increasing node
   tuples instead of the N^n grid.  The tuples and their normalised weights
-  are built once per (n, N) and kept in a small table; a call only forms
-  the trace sums of its parts.
+  are built once per (n, N), and the trace-sum column tr(U^j) over the
+  tuples once per (n, N, j), each kept read-only in a small bounded table;
+  a call only multiplies its parts' columns into the weights.  The
+  quadrature evaluates every partition in full, odd sizes included, which
+  the exact side answers by parity: it is the route that checks them.
 
 * ``moment_mc`` / ``run_mc`` -- i.i.d. Haar samples from the Killip-Nenciu
   tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1 independent Beta
@@ -110,7 +113,8 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     Guarded to n <= 4 and N^n grid points at most 4 000 000 for N nodes per
     angle (BudgetExceeded).  The sum runs over the strictly increasing node
     tuples of ``_quadrature_grid``: sum_tuples weight *
-    prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``.
+    prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``, with each
+    column sum_k 2 cos(j phi_k) read from ``_trace_column``.
     """
     n = nonnegative_int(n, "n")
     if cfg is None:
@@ -128,10 +132,9 @@ def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None)
     if count**n > _MAX_GRID_POINTS:
         raise BudgetExceeded(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
 
-    tuples, angle, integrand = _quadrature_grid(n, count)
+    integrand = _quadrature_grid(n, count)[2]
     for j, m in a.items:
-        cos_j = 2 * np.cos(j * angle)
-        integrand = integrand * cos_j[tuples].sum(axis=1) ** m
+        integrand = integrand * _trace_column(n, count, j) ** m
     return float(integrand.sum())
 
 
@@ -159,6 +162,17 @@ def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.nda
     for array in (tuples, angle, weight):
         array.flags.writeable = False
     return tuples, angle, weight
+
+
+@lru_cache(maxsize=128)
+def _trace_column(n: int, count: int, j: int) -> np.ndarray:
+    """tr(U^j) = sum_k 2 cos(j phi_k) on each tuple of ``_quadrature_grid(n,
+    count)``, in ``longdouble``; read-only.  Keyed by (n, count, j) alone, so
+    every partition with a part j at that grid reads the same column."""
+    tuples, angle, _ = _quadrature_grid(n, count)
+    column = (2 * np.cos(j * angle))[tuples].sum(axis=1)
+    column.flags.writeable = False
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,14 @@ lands in phi's nonzero set exactly when it passes that slack test and
 makes size c even, so each state adds a prefix sum of its block's steps of
 one parity, found by bisecting the sorted slacks.  In the
 Gaussian range size(a) <= 2n+1 only the empty-c state survives, which is
-how the formula collapses to g(a).  Everything in this module is exact
-integer arithmetic; the only rounding anywhere lives in the numerical
-oracles of :mod:`symp.haar`.
+how the formula collapses to g(a).  ``moment_usp`` does not run the
+programme at odd size(a): -I is central in USp(2n), so U -> -U keeps Haar
+measure and tr((-U)^j) = (-1)^j tr(U^j) makes every odd-size moment 0, and
+the defining sum vanishes term by term as well (g(b) = 0 at odd size b and
+phi(n, c) = 0 at odd size c, and one of the two is odd).  The programme
+itself still computes that 0 at every odd size, which the tests check.
+Everything in this module is exact integer arithmetic; the only rounding
+anywhere lives in the numerical oracles of :mod:`symp.haar`.
 """
 
 from __future__ import annotations
@@ -302,14 +307,20 @@ def moment_usp(n: int, a: Partition) -> int:
     """Exact Haar moment of prod_j tr(U^j)^{a_j} over USp(2n).
 
     Valid (and asserted) only for size(a) <= 4n+1; raises OutOfRange beyond,
-    where no formula is claimed, and PreconditionViolated unless n is a
-    non-negative integer.  The defining sum runs through ``_fixed_sum`` over
-    a's part sizes, widest first, with states (size c, size d): one moment,
-    not the sum over a's index sequences, so nothing is divided out.
+    where no formula is claimed, odd sizes included, and PreconditionViolated
+    unless n is a non-negative integer.  An odd size gives 0 at once: -I is
+    central in USp(2n), so U -> -U keeps Haar measure and flips the sign of
+    the product, and the defining sum vanishes term by term too, since every
+    split b + c of an odd size has g(b) = 0 or phi(n, c) = 0.  Otherwise the
+    defining sum runs through ``_fixed_sum`` over a's part sizes, widest
+    first, with states (size c, size d): one moment, not the sum over a's
+    index sequences, so nothing is divided out.
     """
     n = nonnegative_int(n, "n")
     if a.size > 4 * n + 1:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
+    if a.size & 1:
+        return 0
     return _fixed_sum(2 * n + 2, a.items[::-1])
 
 

@@ -13,7 +13,8 @@ references the tests check it against: eigenangles by a dense eigensolve of
 the same Jacobi matrices, the recursion as one whole-batch pass (the
 bit-for-bit reference for every chunking), group elements by quaternionic
 Gram-Schmidt, the Weyl eigenangle density, traces from angles, the linear
-statistic from its definition and the full tensor-grid Gauss rule.  Angles
+statistic from its definition, the full tensor-grid Gauss rule and the tuple
+rule with its trace sums formed per call rather than read from a cache.  Angles
 are in turns, one ascending tuple per sample.
 
 The F_q helpers at the end work one polynomial at a time (factorization,
@@ -224,6 +225,17 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     order[:n] = 2 * np.arange(n)
     order[n:] = 2 * np.arange(n) + 1
     return cols[:, :, order]
+
+
+def moment_quadrature_per_call(n: int, a: Partition) -> float:
+    """``symp.haar.moment_quadrature`` at the default node count with every
+    trace-sum column formed afresh in the call, from the same tuple rule:
+    the reference, bit for bit, for the library's cached columns."""
+    tuples, angle, integrand = haar._quadrature_grid(n, default_nodes(n, a))
+    for j, m in a.items:
+        cos_j = 2 * np.cos(j * angle)
+        integrand = integrand * cos_j[tuples].sum(axis=1) ** m
+    return float(integrand.sum())
 
 
 def moment_quadrature_full_grid(n: int, a: Partition, cfg: QuadratureConfig | None = None) -> float:

@@ -41,6 +41,11 @@ def test_moment_out_of_range_exit(capsys):
     code, _, err = run_cli(capsys, "moment", "--group", "usp", "--n", "1", "--partition", "3^2")
     assert code == EXIT_OUT_OF_RANGE
     assert "out of range" in err
+    # an odd size past 4n+1 is refused before the parity answer 0
+    code, out, err = run_cli(capsys, "moment", "--n", "1", "--partition", "1^7")
+    assert code == EXIT_OUT_OF_RANGE
+    assert out == ""
+    assert err == "error: out of range: partition size 7 exceeds 4n+1 = 5\n"
 
 
 def test_moment_bad_partition_exit(capsys):

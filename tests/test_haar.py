@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import _haar_matrix_batch, angle_stream, jacobi_angles, moment_quadrature_full_grid
-from oracles import band_traces_whole_batch, run_mc_by_columns, trace_power, weyl_weight_usp
+from oracles import band_traces_whole_batch, moment_quadrature_per_call, run_mc_by_columns, trace_power, weyl_weight_usp
 from symp.errors import BudgetExceeded, PreconditionViolated
 from symp import haar, linstat
 from symp.haar import (
@@ -93,6 +93,20 @@ def test_quadrature_matches_exact_formula():
     for n in range(5):
         for a in partitions_of_size_at_most(4 * n + 1):
             assert moment_quadrature(n, a) == pytest.approx(moment_usp(n, a), abs=1e-8)
+
+
+def test_cached_trace_columns_equal_per_call_sums():
+    # the cached trace-sum columns give the bits of forming every column in
+    # the call; odd sizes are summed in full, not answered by parity
+    cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(4 * n + 1)]
+    cases.append((4, Partition({1: 8})))  # the README's quadrature row
+    for n, a in cases:
+        assert repr(moment_quadrature(n, a)) == repr(moment_quadrature_per_call(n, a)), (n, a.format())
+    for n, count, j in ((1, 5, 1), (3, 11, 13), (4, 11, 1)):
+        column = haar._trace_column(n, count, j)
+        assert column.shape == (math.comb(count, n),) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 _N4_PARTITIONS = [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from symp import moments
 from symp.errors import OutOfRange, PreconditionViolated
+from symp.haar import moment_quadrature
 from symp.moments import (
     double_factorial,
     enumerate_pairings,
@@ -236,7 +237,7 @@ def test_dp_prune_is_tight(monkeypatch):
     monkeypatch.setattr(moments, "_close", checked)
     for n in range(1, 6):
         for a in partitions_of_size_at_most(4 * n + 1):
-            moment_usp(n, a)
+            _defining_sum_by_engine(n, a)  # odd sizes too, which moment_usp answers without the DP
     fixed = sum(seen)
     for n in range(0, 5):
         for m in range(0, 7):
@@ -331,6 +332,11 @@ def test_moment_usp_out_of_range():
         moment_usp(1, Partition({3: 2}))
     with pytest.raises(OutOfRange):
         moment_usp(2, Partition({1: 10}))
+    # odd sizes past 4n+1 too: the range check comes before the parity answer 0
+    with pytest.raises(OutOfRange):
+        moment_usp(1, Partition({1: 7}))
+    with pytest.raises(OutOfRange):
+        moment_usp(3, Partition({1: 2, 3: 4, 5: 1}))
     assert moment_usp(2, Partition({1: 9})) == 0  # boundary 4n+1 allowed
 
 
@@ -361,10 +367,21 @@ def test_range_reduction():
 
 
 def test_odd_size_vanishing():
-    for n in (1, 2, 3):
-        for a in partitions_of_size_at_most(4 * n + 1):
+    # moment_usp answers odd sizes by the parity of U -> -U without the DP;
+    # the DP itself computes the same 0 term by term, past 4n+1 as well
+    checked = 0
+    for n in range(1, 7):
+        top = 4 * n + 8 if n <= 3 else 4 * n + 1
+        for a in partitions_of_size_at_most(top):
             if a.size % 2 == 1:
-                assert moment_usp(n, a) == 0
+                assert _defining_sum_by_engine(n, a) == 0, (n, a)
+                checked += 1
+                if a.size <= 4 * n + 1:
+                    value = moment_usp(n, a)
+                    assert type(value) is int and value == 0, (n, a)
+                    if n <= 3:
+                        assert abs(moment_quadrature(n, a)) <= 1e-9, (n, a)
+    assert checked == 9_512
 
 
 # --- pairings -------------------------------------------------------------
