@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
 
     p_moment = sub.add_parser("moment", help="exact closed-form trace moments")
     p_moment.add_argument("--group", choices=["usp", "so", "u"], default="usp")
@@ -285,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--nodes", type=int, default=None)
     p_oracle.add_argument("--samples", type=int, default=100_000)
     p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--threads", type=int, default=None)
     common(p_oracle)
 
     p_ff = sub.add_parser("ffcheck", help="finite-field family average vs exact moment")
@@ -302,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ls.add_argument("--f", required=True, help="Fourier table, e.g. '0:1 1:0.5'")
     p_ls.add_argument("--samples", type=int, default=None)
     p_ls.add_argument("--seed", type=int, default=0)
+    p_ls.add_argument("--threads", type=int, default=None)
     common(p_ls)
 
     return parser

@@ -72,14 +72,8 @@ class MCConfig:
     rng_seed: int
 
     def __post_init__(self):
-        if _not_int(self.sample_count) or self.sample_count < 1:
-            raise PreconditionViolated(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
-        if _not_int(self.rng_seed) or self.rng_seed < 0:
-            raise PreconditionViolated(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-
-
-def _not_int(value) -> bool:
-    return isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        positive_int(self.sample_count, "sample_count")
+        nonnegative_int(self.rng_seed, "rng_seed")
 
 
 def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:

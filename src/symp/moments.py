@@ -34,7 +34,8 @@ a state's pass stops at the first step that leaves phi no chance.  The
 smallest part size closes the sum instead (``_close``): with reach 0 a step
 lands in phi's nonzero set exactly when it passes that slack test and
 makes size c even, so each state adds a prefix sum of its block's steps of
-one parity, found by bisecting the sorted slacks.  In the
+one parity, found by bisecting the sorted slacks.  The pass and the close
+read two views of the same sorted steps, and one cache holds both.  In the
 Gaussian range size(a) <= 2n+1 only the empty-c state survives, which is
 how the formula collapses to g(a).  ``moment_usp`` does not run the
 programme at odd size(a): -I is central in USp(2n), so U -> -U keeps Haar
@@ -175,7 +176,7 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
         get = nxt.get
         for (t, sc, sd), v in states.items():
             short = need + 2 * sd - sc - wide * m
-            for k, whole, entries in tables:
+            for k, whole, entries, _ in tables:
                 u = t + k
                 if u > m:
                     break
@@ -220,7 +221,7 @@ def _fixed_sum(need: int, blocks) -> int:
     states = {(0, 0): 1}
     for j, k in blocks[:-1]:
         later -= j * k
-        whole, entries = _transfer_table(j, 1, k)
+        whole, entries, _ = _transfer_table(j, 1, k)
         base = need - later
         nxt: dict[tuple[int, int], int] = {}
         get = nxt.get
@@ -248,14 +249,14 @@ def _close(need: int, j: int, w: int, groups) -> int:
     With no block after it, a step (j(d+e), j d) reaches the second set
     exactly when its slack j(e-d) >= lim = need + 2 size d - size c, and
     lands on an even size c when j(d+e) has the parity of size c.  So a
-    state with c nonempty gives -v times a prefix sum of ``_closing_table``,
-    found by bisecting on -lim.  Empty c has lim = need > 0, which the
-    table's step b = k (slack 0) does not reach; that step adds v times
-    its weight instead.
+    state with c nonempty gives -v times a prefix sum of the close view of
+    ``_transfer_table``, found by bisecting on -lim.  Empty c has lim = need
+    > 0, which the step b = k (slack 0) does not reach; that step adds v
+    times its weight instead.
     """
     total = 0
     for k, f, states in groups:
-        whole, rises, even, odd = _closing_table(j, w, k)
+        whole, _, (rises, even, odd) = _transfer_table(j, w, k)
         part = 0
         for (sc, sd), v in states:
             part -= v * (odd if sc & 1 else even)[bisect_right(rises, sc - need - 2 * sd)]
@@ -266,41 +267,37 @@ def _close(need: int, j: int, w: int, groups) -> int:
 
 
 @lru_cache(maxsize=256)
-def _closing_table(j: int, w: int, k: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """``_transfer_table(j, w, k)`` as ``_close`` reads it: the weight of
-    the split b = k, the negated slacks of every split in ascending order
-    (b = k is the step (0, 0, 0) here), and the prefix sums of their weights
-    over the steps with an even and with an odd size c step."""
-    whole, entries = _transfer_table(j, w, k)
-    steps = sorted([(0, 0, whole), *((slack, dc, coef) for slack, dc, _, coef in entries)], reverse=True)
-    rises, even, odd = [], [0], [0]
-    for slack, dc, coef in steps:
-        rises.append(-slack)
-        even.append(even[-1] + (0 if dc & 1 else coef))
-        odd.append(odd[-1] + (coef if dc & 1 else 0))
-    return whole, tuple(rises), tuple(even), tuple(odd)
-
-
-@lru_cache(maxsize=256)
-def _transfer_table(j: int, w: int, k: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+def _transfer_table(
+    j: int, w: int, k: int
+) -> tuple[int, tuple[tuple[int, int, int, int], ...], tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """How k parts of size j and weight w move a state's (size c, size d).
 
-    Returns the weight of the split b = k, which leaves c as it is, and the
-    entries (slack j(e-d), size c step j(d+e), size d step j d, weight) of
-    every other split k = b + d + e with a nonzero weight
-    C(k,b) C(d+e,d) g_j(b) (-1)^(b+e) w^k, largest slack first.  Keyed by
-    the block alone, never by n or by a partition.
+    Every split k = b + d + e with a nonzero weight C(k,b) C(d+e,d) g_j(b)
+    (-1)^(b+e) w^k is a step (slack j(e-d), size c step j(d+e), size d step
+    j d, weight), largest slack first.  Returns the weight of the split
+    b = k, which leaves c as it is, and two views of the steps: for a pass,
+    every step but b = k; for ``_close``, the negated slacks of every step
+    in ascending order and the prefix sums of their weights over the steps
+    with an even and with an odd size c step.  Keyed by the block alone,
+    never by n or by a partition.
     """
     g = [gaussian_moment_single(j, b) for b in range(k + 1)]
-    entries = []
+    steps = []
     for d in range(k + 1):
         for e in range(k + 1 - d):
             b = k - d - e
             coef = comb(k, b) * comb(d + e, d) * g[b] * (-1) ** (b + e) * w**k
-            if (d or e) and coef:
-                entries.append((j * (e - d), j * (d + e), j * d, coef))
-    entries.sort(key=itemgetter(0), reverse=True)
-    return g[k] * (-w) ** k, tuple(entries)
+            if coef:
+                steps.append((j * (e - d), j * (d + e), j * d, coef))
+    steps.sort(key=itemgetter(0), reverse=True)
+    rises, even, odd = [], [0], [0]
+    for slack, dc, _, coef in steps:
+        rises.append(-slack)
+        even.append(even[-1] + (0 if dc & 1 else coef))
+        odd.append(odd[-1] + (coef if dc & 1 else 0))
+    # j >= 1, so b = k is the only step that leaves size c as it is
+    entries = tuple(step for step in steps if step[1])
+    return g[k] * (-w) ** k, entries, (tuple(rises), tuple(even), tuple(odd))
 
 
 def moment_usp(n: int, a: Partition) -> int:

@@ -334,6 +334,23 @@ def test_threads_negative_exit(capsys):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--n", "1", "--partition", "1^2"],
+        ["ffcheck", "--n", "1", "--partition", "1^2", "--q", "3"],
+    ],
+)
+def test_threads_only_on_the_sampling_subcommands(capsys, argv):
+    # moment and ffcheck sample nothing, so a worker count is a usage error
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--threads", "2"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 2" in captured.err
+
+
 def test_threads_env_zero_exit(capsys, monkeypatch):
     for value in ("0", "-1", "two"):
         monkeypatch.setenv("SYMP_THREADS", value)

@@ -38,10 +38,10 @@ def test_each_leaf_class_has_one_exit_code(monkeypatch, capsys, error, code):
     "call,text",
     [
         (lambda: PrimeField(4), "q must be an odd prime, got 4"),
-        (lambda: MCConfig(1, 2.5, 0), "sample_count must be an integer >= 1, got 2.5"),
-        (lambda: MCConfig(1, 10, -1), "rng_seed must be a non-negative integer, got -1"),
-        (lambda: MCConfig(1, True, 0), "sample_count must be an integer >= 1, got True"),
-        (lambda: MCConfig(1, 10, False), "rng_seed must be a non-negative integer, got False"),
+        (lambda: MCConfig(1, 2.5, 0), "sample_count = 2.5 is not an integer"),
+        (lambda: MCConfig(1, 10, -1), "rng_seed = -1 is negative"),
+        (lambda: MCConfig(1, True, 0), "sample_count = True is not an integer"),
+        (lambda: MCConfig(1, 10, False), "rng_seed = False is not an integer"),
         (lambda: moment_usp(True, Partition({1: 2})), "n = True is not an integer"),
         (lambda: moment_usp_sum(2, 2, [(1, True)]), "block weight = True is not an integer"),
         (lambda: FourierTestFn.from_dict({True: 1}), "Fourier index = True is not an integer"),

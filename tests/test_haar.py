@@ -294,7 +294,7 @@ def test_mc_config_validation():
 
 
 def test_mc_config_rejects_a_fractional_sample_count():
-    with pytest.raises(ValueError, match="sample_count must be an integer >= 1, got 2.5"):
+    with pytest.raises(ValueError, match="sample_count = 2.5 is not an integer"):
         MCConfig(1, 2.5, 0)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from bisect import bisect_right
 from math import comb, factorial
 
 import pytest
@@ -254,7 +255,7 @@ def test_closing_step_is_the_filtered_transfer_table():
     for j in range(1, 6):
         for w in (1, -1, 2, -2, 3, -3):
             for k in range(0, 9):
-                whole, entries = moments._transfer_table(j, w, k)
+                whole, entries, _ = moments._transfer_table(j, w, k)
                 steps = [(0, 0, whole)] + [(slack, dc, coef) for slack, dc, _, coef in entries]
                 for lim in range(-(j * k + 2), j * k + 3):
                     for parity in (0, 1):
@@ -267,6 +268,32 @@ def test_closing_step_is_the_filtered_transfer_table():
                         brute = sum(coef for slack, dc, coef in steps if slack >= lim and dc % 2 == 0)
                         assert moments._close(lim, j, w, [(k, 2, [((0, 0), 3)])]) == 6 * (whole - brute), (j, w, k, lim)
     assert checked == 2 * sum(2 * (j * k + 2) + 1 for j in range(1, 6) for k in range(9)) * 6
+
+
+def test_transfer_table_views_describe_the_same_steps():
+    # the pass view lists every step but b = k, largest slack first; the
+    # close view adds the b = k step (slack 0, size c step 0) when its
+    # weight is nonzero and keeps per-parity prefix sums of the weights.
+    # The full sums alone say little: the weights of the steps with one
+    # size c step c' >= 1 sum to 0 by the alternating-binomial identity, so
+    # the prefix sums are checked at the end of every run of equal slacks
+    for j in range(1, 6):
+        for w in (1, -1, 2, -2, 3, -3):
+            for k in range(0, 9):
+                whole, entries, (rises, even, odd) = moments._transfer_table(j, w, k)
+                slacks = [slack for slack, *_ in entries]
+                assert slacks == sorted(slacks, reverse=True), (j, w, k)
+                assert all(dc and coef for _, dc, _, coef in entries), (j, w, k)
+                steps = [(slack, dc, coef) for slack, dc, _, coef in entries] + ([(0, 0, whole)] if whole else [])
+                assert list(rises) == sorted(-slack for slack, _, _ in steps), (j, w, k)
+                assert len(even) == len(odd) == len(rises) + 1 and even[0] == odd[0] == 0, (j, w, k)
+                assert even[-1] == sum(coef for _, dc, coef in steps if dc % 2 == 0), (j, w, k)
+                assert odd[-1] == sum(coef for _, dc, coef in steps if dc % 2 == 1), (j, w, k)
+                for rise in set(rises):
+                    end = bisect_right(rises, rise)
+                    for sums, parity in ((even, 0), (odd, 1)):
+                        brute = sum(coef for slack, dc, coef in steps if -slack <= rise and dc % 2 == parity)
+                        assert sums[end] == brute, (j, w, k, rise, parity)
 
 
 @pytest.mark.parametrize("zero_weight", [-2, 0, 3])
