@@ -19,7 +19,7 @@ from .moments import (
     nongaussian_correction,
     pairing_weight_sum,
 )
-from .haar import MCConfig, QuadratureConfig, moment_mc, moment_quadrature
+from .haar import MCConfig, moment_mc, moment_quadrature
 from .linstat import FourierTestFn, statistic_moment_exact, statistic_moment_gaussian
 from .ffield import PrimeField, empirical_moment, l_polynomial
 
@@ -39,7 +39,6 @@ __all__ = [
     "moment_u_gaussian",
     "pairing_weight_sum",
     "MCConfig",
-    "QuadratureConfig",
     "moment_quadrature",
     "moment_mc",
     "FourierTestFn",

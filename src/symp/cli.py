@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import get_args
 
@@ -103,21 +102,6 @@ def _check_flags(args) -> None:
             raise ParseError(f"--{flag}: must be at least {least}, got {value}")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SYMP_THREADS")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        raise ParseError(f"SYMP_THREADS: not an integer: {env!r}") from None
-    if threads < 1:
-        raise ParseError(f"SYMP_THREADS: must be at least 1, got {threads}")
-    return threads
-
-
 def _cmd_moment(args) -> list[dict]:
     a = _parse_partition(args.partition, "--partition")
     base = {"group": args.group, "n": args.n, "partition": a.format()}
@@ -160,18 +144,11 @@ def _cmd_oracle(args) -> list[dict]:
         "reference_value": reference,
     }
     if args.method == "quadrature":
-        exact_nodes = haar.default_nodes(args.n, a, margin=0)
-        if args.nodes is not None and args.nodes < exact_nodes:
-            raise ParseError(
-                f"--nodes: {args.nodes} is below {exact_nodes}, the fewest nodes that"
-                f" integrate {a.format()} exactly at n = {args.n}"
-            )
-        cfg = haar.QuadratureConfig(args.n, args.nodes or haar.default_nodes(args.n, a))
-        value = haar.moment_quadrature(args.n, a, cfg)
+        value = haar.moment_quadrature(args.n, a)
         row = dict(base, check="quadrature-vs-exact", formula="quadrature", value=value)
     else:
         cfg = haar.MCConfig(args.n, args.samples, args.seed)
-        value, stderr = haar.moment_mc(args.n, a, cfg, threads=_threads(args))
+        value, stderr = haar.moment_mc(args.n, a, cfg, threads=args.threads)
         row = dict(
             base,
             check="mc-vs-exact",
@@ -245,7 +222,7 @@ def _cmd_linstat(args) -> list[dict]:
     ]
     if args.samples is not None:
         cfg = haar.MCConfig(args.n, args.samples, args.seed)
-        est, stderr = linstat.statistic_moment_mc(args.n, args.nu, args.m, f, cfg, threads=_threads(args))
+        est, stderr = linstat.statistic_moment_mc(args.n, args.nu, args.m, f, cfg, threads=args.threads)
         rows.append(
             dict(
                 base,
@@ -281,10 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--partition", required=True)
     p_oracle.add_argument("--method", choices=["quadrature", "mc"], default="quadrature")
-    p_oracle.add_argument("--nodes", type=int, default=None)
     p_oracle.add_argument("--samples", type=int, default=100_000)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--threads", type=int, default=None)
+    p_oracle.add_argument("--threads", type=int, default=1)
     common(p_oracle)
 
     p_ff = sub.add_parser("ffcheck", help="finite-field family average vs exact moment")
@@ -302,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ls.add_argument("--f", required=True, help="Fourier table, e.g. '0:1 1:0.5'")
     p_ls.add_argument("--samples", type=int, default=None)
     p_ls.add_argument("--seed", type=int, default=0)
-    p_ls.add_argument("--threads", type=int, default=None)
+    p_ls.add_argument("--threads", type=int, default=1)
     common(p_ls)
 
     return parser

@@ -12,10 +12,12 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   coincide, so the rule sums over the C(N, n) strictly increasing node
   tuples instead of the N^n grid.  The tuples and their normalised weights
   are built once per (n, N), and the trace-sum column tr(U^j) over the
-  tuples once per (n, N, j), each kept read-only in a small bounded table;
-  a call only multiplies its parts' columns into the weights.  The
-  quadrature evaluates every partition in full, odd sizes included, which
-  the exact side answers by parity: it is the route that checks them.
+  tuples once per (n, N, j), each kept read-only in a table bounded by its
+  number of entries (32 grids, 128 columns), not by bytes; a call only
+  multiplies its parts' columns into the weights.  N is worked out from n
+  and the partition, never chosen by the caller.  The quadrature evaluates
+  every partition in full, odd sizes included, which the exact side answers
+  by parity: it is the route that checks them.
 
 * ``moment_mc`` / ``run_mc`` -- i.i.d. Haar samples from the Killip-Nenciu
   tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1 independent Beta
@@ -48,7 +50,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolated, integer, nonnegative_int, positive_int
+from .errors import BudgetExceeded, PreconditionViolated, nonnegative_int, positive_int
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
@@ -57,12 +59,6 @@ _MAX_GRID_POINTS = 4_000_000
 # that a chunk's recursion stays in cache (the best of a measured grid from
 # 256 KiB to 4 MiB); no value depends on it
 _CHUNK_BYTES = 768 << 10
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    n: int
-    nodes_per_dim: int
 
 
 @dataclass(frozen=True)
@@ -87,40 +83,31 @@ def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), (np.longdouble(math.pi) / (count + 1)) * np.sin(angles) ** 2
 
 
-def default_nodes(n: int, a: Partition, margin: int = 2) -> int:
-    """Smallest exact node count for the self-normalized moment integrand.
+def default_nodes(n: int, a: Partition) -> int:
+    """The node count per angle at which ``moment_quadrature`` integrates
+    prod_j tr(U^j)^{a_j} at n.
 
     Per variable the squared Vandermonde contributes degree 2(n-1) and the
-    trace product at most size(a), so 2N-1 >= 2(n-1) + size(a) is exact.
+    trace product at most size(a), so 2N-1 >= 2(n-1) + size(a) is exact;
+    the count is two above the smallest N that meets it.
     """
     degree = 2 * (n - 1) + a.size
-    return (degree + 2) // 2 + margin
+    return (degree + 2) // 2 + 2
 
 
-def moment_quadrature(n: int, a: Partition, cfg: QuadratureConfig | None = None) -> float:
+def moment_quadrature(n: int, a: Partition) -> float:
     """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n).
 
-    Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
-    ``default_nodes`` bound; an explicit config for another n, or below the
-    margin-0 bound, raises PreconditionViolated, and so does an n that is
-    not a non-negative integer or a node count that is not an integer.
-    Guarded to n <= 4 and N^n grid points at most 4 000 000 for N nodes per
-    angle (BudgetExceeded).  The sum runs over the strictly increasing node
-    tuples of ``_quadrature_grid``: sum_tuples weight *
-    prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``, with each
-    column sum_k 2 cos(j phi_k) read from ``_trace_column``.
+    Exact (up to roundoff): it runs on ``default_nodes(n, a)`` nodes per
+    angle.  An n that is not a non-negative integer raises
+    PreconditionViolated.  Guarded to n <= 4 and N^n grid points at most
+    4 000 000 for N nodes per angle (BudgetExceeded).  The sum runs over the
+    strictly increasing node tuples of ``_quadrature_grid``: sum_tuples
+    weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``, with
+    each column sum_k 2 cos(j phi_k) read from ``_trace_column``.
     """
     n = nonnegative_int(n, "n")
-    if cfg is None:
-        cfg = QuadratureConfig(n, default_nodes(n, a))
-    elif cfg.n != n:
-        raise PreconditionViolated(f"QuadratureConfig is for n = {cfg.n}, not n = {n}")
-    elif integer(cfg.nodes_per_dim, "nodes_per_dim") < default_nodes(n, a, margin=0):
-        raise PreconditionViolated(
-            f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
-            f" the fewest that integrate {a.format()} exactly at n = {n}"
-        )
-    count = cfg.nodes_per_dim
+    count = default_nodes(n, a)
     if n > 4:
         raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
     if count**n > _MAX_GRID_POINTS:

@@ -48,7 +48,7 @@ from symp.ffield import (
     poly_trim,
     primes_of_degree,
 )
-from symp.haar import _MAX_GRID_POINTS, MCConfig, QuadratureConfig, default_nodes, quadrature_nodes
+from symp.haar import _MAX_GRID_POINTS, MCConfig, default_nodes, quadrature_nodes
 from symp.linstat import FourierTestFn
 from symp.moments import double_factorial
 from symp.partitions import Partition
@@ -227,39 +227,37 @@ def _haar_matrix_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarr
     return cols[:, :, order]
 
 
-def moment_quadrature_per_call(n: int, a: Partition) -> float:
-    """``symp.haar.moment_quadrature`` at the default node count with every
-    trace-sum column formed afresh in the call, from the same tuple rule:
-    the reference, bit for bit, for the library's cached columns."""
-    tuples, angle, integrand = haar._quadrature_grid(n, default_nodes(n, a))
+def moment_quadrature_per_call(n: int, a: Partition, count: int | None = None) -> float:
+    """``symp.haar.moment_quadrature``'s tuple rule on `count` nodes per
+    angle (default ``default_nodes(n, a)``, the library's count) with every
+    trace-sum column formed afresh in the call: at the default, the
+    reference, bit for bit, for the library's cached columns."""
+    tuples, angle, integrand = haar._quadrature_grid(n, default_nodes(n, a) if count is None else count)
     for j, m in a.items:
         cos_j = 2 * np.cos(j * angle)
         integrand = integrand * cos_j[tuples].sum(axis=1) ** m
     return float(integrand.sum())
 
 
-def moment_quadrature_full_grid(n: int, a: Partition, cfg: QuadratureConfig | None = None) -> float:
+def moment_quadrature_full_grid(n: int, a: Partition, count: int | None = None) -> float:
     """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n), summed
     over the full count^n tensor grid.
 
     ``symp.haar.moment_quadrature`` sums the same rule over the strictly
     increasing node tuples only; this is the reference it is checked against.
 
-    Exact (up to roundoff) whenever cfg.nodes_per_dim meets the
-    ``default_nodes`` bound; an explicit config for another n, or below the
-    margin-0 bound, raises PreconditionViolated.  Guarded to n <= 4 /
-    moderate grids.
+    `count` nodes per angle, by default ``default_nodes(n, a)``; exact (up
+    to roundoff) down to ``default_nodes(n, a) - 2``, the fewest that meet
+    the degree bound, and fewer raise PreconditionViolated.  Guarded to
+    n <= 4 / moderate grids.
     """
-    if cfg is None:
-        cfg = QuadratureConfig(n, default_nodes(n, a))
-    elif cfg.n != n:
-        raise PreconditionViolated(f"QuadratureConfig is for n = {cfg.n}, not n = {n}")
-    elif cfg.nodes_per_dim < default_nodes(n, a, margin=0):
+    fewest = default_nodes(n, a) - 2
+    if count is None:
+        count = default_nodes(n, a)
+    elif count < fewest:
         raise PreconditionViolated(
-            f"{cfg.nodes_per_dim} nodes per dimension are below {default_nodes(n, a, margin=0)},"
-            f" the fewest that integrate {a.format()} exactly at n = {n}"
+            f"{count} nodes per dimension are below {fewest}, the fewest that integrate {a.format()} exactly at n = {n}"
         )
-    count = cfg.nodes_per_dim
     if n > 4:
         raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
     if count**n > _MAX_GRID_POINTS:

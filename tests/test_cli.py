@@ -97,9 +97,10 @@ def test_oracle_mc_deterministic(capsys):
 
 
 def test_oracle_cost_guard_exit(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--n", "4", "--partition", "1^2", "--nodes", "100")
+    # 1^100 at n = 4 needs 56 nodes per angle: 56^4 grid points
+    code, out, err = run_cli(capsys, "oracle", "--n", "4", "--partition", "1^100")
     assert code == EXIT_BUDGET
-    assert "budget" in err
+    assert out == "" and "budget" in err
 
 
 def test_ffcheck_rows_and_bound(capsys):
@@ -226,16 +227,6 @@ def test_out_unwritable_exit(tmp_path, capsys):
         assert err.startswith("error: --out: cannot write") and str(path) in err
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SYMP_THREADS", "2")
-    args = ["oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "9000", "--seed", "4"]
-    code, out_env, _ = run_cli(capsys, *args)
-    assert code == EXIT_OK
-    monkeypatch.delenv("SYMP_THREADS")
-    code, out_plain, _ = run_cli(capsys, *args)
-    assert out_env == out_plain  # threading never changes the bytes
-
-
 def test_moment_negative_n_exit(capsys):
     code, _, err = run_cli(capsys, "moment", "--n", "-1", "--partition", "1^2")
     assert code == EXIT_CONFIG
@@ -351,22 +342,14 @@ def test_threads_only_on_the_sampling_subcommands(capsys, argv):
     assert "unrecognized arguments: --threads 2" in captured.err
 
 
-def test_threads_env_zero_exit(capsys, monkeypatch):
-    for value in ("0", "-1", "two"):
-        monkeypatch.setenv("SYMP_THREADS", value)
-        code, _, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^2", "--method", "mc", "--samples", "100")
-        assert code == EXIT_CONFIG
-        assert "SYMP_THREADS" in err
-
-
-def test_oracle_nodes_below_exactness_exit(capsys):
-    # 1^4 at n = 1 needs 3 nodes; one node used to print 2e-64 against 2 as valid
-    code, out, err = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^4", "--nodes", "1")
-    assert code == EXIT_CONFIG
-    assert out == "" and "--nodes" in err
-    code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--partition", "1^4", "--nodes", "3")
-    assert code == EXIT_OK
-    assert abs(float(parse_csv(out)[0]["value"]) - 2.0) <= 1e-9
+def test_oracle_has_no_node_count_flag(capsys):
+    # the quadrature works out its own node count from n and the partition
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "--n", "1", "--partition", "1^4", "--nodes", "5"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --nodes 5" in captured.err
 
 
 def test_linstat_negative_fourier_index_exit(capsys):

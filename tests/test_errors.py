@@ -7,7 +7,7 @@ import pytest
 from symp import cli
 from symp.errors import BudgetExceeded, OutOfRange, ParseError, PreconditionViolated
 from symp.ffield import PrimeField, l_polynomial
-from symp.haar import MCConfig, QuadratureConfig, moment_quadrature
+from symp.haar import MCConfig
 from symp.linstat import FourierTestFn, statistic_moment_exact
 from symp.moments import moment_usp, moment_usp_sum
 from symp.partitions import Partition
@@ -51,14 +51,6 @@ def test_each_leaf_class_has_one_exit_code(monkeypatch, capsys, error, code):
         (lambda: FourierTestFn.from_dict({-1: 1}), "supply only j >= 0; evenness fills in the rest"),
         (lambda: l_polynomial(PrimeField(5), (0, 0, 1)), "h must be monic of odd degree >= 1"),
         (lambda: l_polynomial(PrimeField(5), (0, 0, 0, 1)), "h = (0, 0, 0, 1) is not squarefree"),
-        (
-            lambda: moment_quadrature(1, Partition({1: 2}), QuadratureConfig(1, 2.5)),
-            "nodes_per_dim = 2.5 is not an integer",
-        ),
-        (
-            lambda: moment_quadrature(1, Partition({1: 2}), QuadratureConfig(1, "7")),
-            "nodes_per_dim = '7' is not an integer",
-        ),
     ],
 )
 def test_refusals_raise_precondition_violated(call, text):

@@ -10,7 +10,6 @@ from symp.errors import BudgetExceeded, PreconditionViolated
 from symp import haar, linstat
 from symp.haar import (
     MCConfig,
-    QuadratureConfig,
     _band_traces,
     _jacobi_batch,
     default_nodes,
@@ -60,16 +59,16 @@ def test_quadrature_reflection_symmetry():
 
 
 def test_quadrature_node_stability():
+    # more nodes than the library's count give the same value, through the
+    # tuple rule and the full grid alike
     for n, parts in [(1, {1: 4}), (2, {2: 2, 1: 1}), (3, {3: 1, 1: 3})]:
         a = Partition(parts)
-        base = default_nodes(n, a)
-        v1 = moment_quadrature(n, a, QuadratureConfig(n, base))
-        v2 = moment_quadrature(n, a, QuadratureConfig(n, base + 7))
+        value = moment_quadrature(n, a)
         # conservative per-variable bound: 2(n-1) + size * max part
         conservative = (2 * (n - 1) + a.size * max(a.support) + 2) // 2 + 1
-        v3 = moment_quadrature(n, a, QuadratureConfig(n, conservative))
-        assert v1 == pytest.approx(v2, abs=1e-10)
-        assert v1 == pytest.approx(v3, abs=1e-10)
+        for count in (default_nodes(n, a) + 7, conservative):
+            assert moment_quadrature_per_call(n, a, count) == pytest.approx(value, abs=1e-10)
+            assert moment_quadrature_full_grid(n, a, count) == pytest.approx(value, abs=1e-10)
 
 
 def test_weyl_weight_consistent_with_quadrature():
@@ -131,41 +130,40 @@ _N4_PARTITIONS = [
 
 def test_tuple_rule_matches_full_grid():
     # the sum over increasing node tuples against the full count^n tensor
-    # grid, at the default node count and at 7 more
+    # grid: the library at its own node count, the per-call tuple rule at 7
+    # more
     cases = [(n, a) for n in (1, 2, 3) for a in partitions_of_size_at_most(4 * n + 1)]
     cases += [(4, a) for a in _N4_PARTITIONS]
     for n, a in cases:
         for extra in (0, 7):
-            cfg = QuadratureConfig(n, default_nodes(n, a) + extra)
-            reference = moment_quadrature_full_grid(n, a, cfg)
-            value = moment_quadrature(n, a, cfg)
+            count = default_nodes(n, a) + extra
+            reference = moment_quadrature_full_grid(n, a, count)
+            value = moment_quadrature(n, a) if extra == 0 else moment_quadrature_per_call(n, a, count)
             assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference)), (n, a.format(), extra)
 
 
 @pytest.mark.parametrize(
-    "n,cfg,fault",
-    [
-        (-1, None, "n = -1 is negative"),
-        (1.5, None, "n = 1.5 is not an integer"),
-        (-1, QuadratureConfig(-1, 3), "n = -1 is negative"),
-    ],
-    ids=["negative", "fractional", "negative_with_config"],
+    "n,fault",
+    [(-1, "n = -1 is negative"), (1.5, "n = 1.5 is not an integer")],
+    ids=["negative", "fractional"],
 )
-def test_quadrature_rejects_bad_n(n, cfg, fault):
-    # n is checked before the config: a negative n must not read as the
-    # value 0.0, nor a fractional one end in a TypeError
+def test_quadrature_rejects_bad_n(n, fault):
+    # a negative n must not read as the value 0.0, nor a fractional one end
+    # in a TypeError
     with pytest.raises(PreconditionViolated, match=fault):
-        moment_quadrature(n, Partition({1: 2}), cfg)
+        moment_quadrature(n, Partition({1: 2}))
 
 
 def test_quadrature_rejects_too_few_nodes():
-    # one node integrates 1^4 at n = 1 to 2e-64 instead of 2
+    # one node integrates 1^4 at n = 1 to 2e-64 instead of 2; the fewest
+    # nodes that meet the degree bound, two below the library's count, are
+    # already exact
     with pytest.raises(PreconditionViolated, match="below 3"):
-        moment_quadrature(1, Partition({1: 4}), QuadratureConfig(1, 1))
-    exact = default_nodes(2, Partition({2: 2}), margin=0)
-    assert moment_quadrature(2, Partition({2: 2}), QuadratureConfig(2, exact)) == pytest.approx(
-        moment_usp(2, Partition({2: 2})), abs=1e-9
-    )
+        moment_quadrature_full_grid(1, Partition({1: 4}), 1)
+    for n, a in [(1, Partition({1: 4})), (2, Partition({2: 2})), (3, Partition({1: 3, 3: 1}))]:
+        fewest = default_nodes(n, a) - 2
+        assert moment_quadrature_full_grid(n, a, fewest) == pytest.approx(moment_usp(n, a), abs=1e-9)
+        assert moment_quadrature_per_call(n, a, fewest) == pytest.approx(moment_usp(n, a), abs=1e-9)
 
 
 def test_config_for_another_n_is_rejected():
@@ -178,15 +176,14 @@ def test_config_for_another_n_is_rejected():
         moment_mc(1, Partition(), MCConfig(3, 1000, 0))  # the empty product too
     with pytest.raises(PreconditionViolated, match="n = 3, not n = 1"):
         run_mc(1, MCConfig(3, 1000, 0), _offset_stat, ((1,), 0.0), 1)
-    with pytest.raises(PreconditionViolated, match="n = 4, not n = 1"):
-        moment_quadrature(1, a, QuadratureConfig(4, 5))
 
 
 def test_cost_guard():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="n <= 4"):
         moment_quadrature(5, Partition({1: 2}))
-    with pytest.raises(BudgetExceeded):
-        moment_quadrature(4, Partition({1: 2}), QuadratureConfig(4, 100))
+    # a large partition needs more nodes: 56 per angle, 56^4 grid points
+    with pytest.raises(BudgetExceeded, match=r"grid 56\^4 exceeds"):
+        moment_quadrature(4, Partition({1: 100}))
 
 
 def test_sampler_stream_properties():
