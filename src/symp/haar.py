@@ -11,10 +11,12 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   integrand is symmetric in the n angles and vanishes where two nodes
   coincide, so the rule sums over the C(N, n) strictly increasing node
   tuples instead of the N^n grid.  The tuples and their normalised weights
-  are built once per (n, N), and the trace-sum column tr(U^j) over the
-  tuples once per (n, N, j), each kept read-only in a table bounded by its
-  number of entries (32 grids, 128 columns), not by bytes; a call only
-  multiplies its parts' columns into the weights.  N is worked out from n
+  are built once per (n, N), and the power tr(U^j)^m over the tuples once
+  per (n, N, j, m), as the trace-sum column (m = 1) to the power m; a call
+  only multiplies its parts' powers into the weights.  All are kept
+  read-only in one store bounded in bytes (_TABLE_BYTES, 64 MiB): a new
+  entry drops the oldest ones, in insertion order, until it fits, and one
+  larger than the bound is not kept.  N is worked out from n
   and the partition, never chosen by the caller.  The quadrature evaluates
   every partition in full, odd sizes included, which the exact side answers
   by parity: it is the route that checks them.
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -59,6 +62,14 @@ _MAX_GRID_POINTS = 4_000_000
 # that a chunk's recursion stays in cache (the best of a measured grid from
 # 256 KiB to 4 MiB); no value depends on it
 _CHUNK_BYTES = 768 << 10
+# cap on the quadrature's grids and trace powers kept between calls; the
+# tables of the sweep and the README take a few hundred kilobytes, one grid
+# near the _MAX_GRID_POINTS guard 26 MB at n = 3 and 64 MB at n = 2; no
+# value depends on it
+_TABLE_BYTES = 64 << 20
+_tables: dict = {}  # key -> read-only array or tuple of arrays, oldest first
+_table_bytes = 0  # the bytes held in _tables
+_table_lock = threading.Lock()  # held while _tables and _table_bytes change
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,7 @@ class MCConfig:
     rng_seed: int
 
     def __post_init__(self):
+        nonnegative_int(self.n, "n")
         positive_int(self.sample_count, "sample_count")
         nonnegative_int(self.rng_seed, "rng_seed")
 
@@ -104,7 +116,7 @@ def moment_quadrature(n: int, a: Partition) -> float:
     4 000 000 for N nodes per angle (BudgetExceeded).  The sum runs over the
     strictly increasing node tuples of ``_quadrature_grid``: sum_tuples
     weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``, with
-    each column sum_k 2 cos(j phi_k) read from ``_trace_column``.
+    each power (sum_k 2 cos(j phi_k))^{a_j} read from ``_trace_power``.
     """
     n = nonnegative_int(n, "n")
     count = default_nodes(n, a)
@@ -115,11 +127,10 @@ def moment_quadrature(n: int, a: Partition) -> float:
 
     integrand = _quadrature_grid(n, count)[2]
     for j, m in a.items:
-        integrand = integrand * _trace_column(n, count, j) ** m
+        integrand = integrand * _trace_power(n, count, j, m)
     return float(integrand.sum())
 
 
-@lru_cache(maxsize=32)
 def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Gauss rule on the strictly increasing n-tuples of `count` nodes.
 
@@ -128,32 +139,65 @@ def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.nda
     Vandermonde prod_{p<r} (2x_p - 2x_r)^2 per tuple, scaled to sum 1.  The
     integrand is symmetric in the angles and vanishes where two nodes
     coincide, so the full tensor sum is n! times the sum over these tuples
-    and the n! cancels in the self-normalised ratio.  Keyed by (n, count)
-    alone; the arrays are read-only.
+    and the n! cancels in the self-normalised ratio.  Kept in the table
+    store under (n, count) alone; the arrays are read-only.
     """
-    x, w = quadrature_nodes(count)
-    tuples = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(count), n)), dtype=np.intp
-    ).reshape(math.comb(count, n), n)  # n = 0: one empty tuple
-    weight = w[tuples].prod(axis=1)
-    for p, r in itertools.combinations(range(n), 2):
-        weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
-    weight /= weight.sum()
-    angle = np.arccos(x)
-    for array in (tuples, angle, weight):
+    grid = _tables.get((n, count))
+    if grid is None:
+        x, w = quadrature_nodes(count)
+        tuples = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(count), n)), dtype=np.intp
+        ).reshape(math.comb(count, n), n)  # n = 0: one empty tuple
+        weight = w[tuples].prod(axis=1)
+        for p, r in itertools.combinations(range(n), 2):
+            weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
+        weight /= weight.sum()
+        grid = _store((n, count), (tuples, np.arccos(x), weight))
+    return grid
+
+
+def _trace_power(n: int, count: int, j: int, m: int) -> np.ndarray:
+    """tr(U^j)^m = (sum_k 2 cos(j phi_k))^m on each tuple of
+    ``_quadrature_grid(n, count)``, in ``longdouble``; read-only.  m = 1 is
+    the trace-sum column and any other m is that column ``** m``.  Kept in
+    the table store under (n, count, j, m) alone, so every partition with m
+    parts j at that grid reads the same array."""
+    power = _tables.get((n, count, j, m))
+    if power is None:
+        if m == 1:
+            tuples, angle, _ = _quadrature_grid(n, count)
+            power = (2 * np.cos(j * angle))[tuples].sum(axis=1)
+        else:
+            power = _trace_power(n, count, j, 1) ** m
+        power = _store((n, count, j, m), power)
+    return power
+
+
+def _store(key: tuple[int, ...], value):
+    """Make `value`, an array or a tuple of arrays, read-only and keep it in
+    ``_tables`` under `key`.
+
+    The oldest entries are dropped first, until the store holds at most
+    _TABLE_BYTES; a value larger than that is returned but not kept.  A hit
+    moves nothing, so the store drops in insertion order.  A key that another
+    thread stored meanwhile is not stored twice.
+    """
+    global _table_bytes
+    for array in value if isinstance(value, tuple) else (value,):
         array.flags.writeable = False
-    return tuples, angle, weight
+    size = _nbytes(value)
+    with _table_lock:
+        if size <= _TABLE_BYTES and key not in _tables:
+            while _table_bytes + size > _TABLE_BYTES:
+                _table_bytes -= _nbytes(_tables.pop(next(iter(_tables))))
+            _tables[key] = value
+            _table_bytes += size
+    return value
 
 
-@lru_cache(maxsize=128)
-def _trace_column(n: int, count: int, j: int) -> np.ndarray:
-    """tr(U^j) = sum_k 2 cos(j phi_k) on each tuple of ``_quadrature_grid(n,
-    count)``, in ``longdouble``; read-only.  Keyed by (n, count, j) alone, so
-    every partition with a part j at that grid reads the same column."""
-    tuples, angle, _ = _quadrature_grid(n, count)
-    column = (2 * np.cos(j * angle))[tuples].sum(axis=1)
-    column.flags.writeable = False
-    return column
+def _nbytes(value) -> int:
+    """The bytes of an array or of a tuple of arrays."""
+    return sum(array.nbytes for array in value) if isinstance(value, tuple) else value.nbytes
 
 
 # ---------------------------------------------------------------------------

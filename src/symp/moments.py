@@ -201,10 +201,11 @@ def moment_usp_sum(n: int, m: int, blocks, zero_weight: int = 0) -> int:
     return _close(need, j, w, [(m - t, comb(m, t), layer) for t, layer in enumerate(layers)])
 
 
-def _fixed_sum(need: int, blocks) -> int:
+def _fixed_sum(need: int, blocks, size: int) -> int:
     """The defining sum of the moment of one partition: ``blocks`` lists
-    (j, k) for each part size j with k parts, widest first, and phi(n, c)
-    needs size c >= need + 2 size d.
+    (j, k) for each part size j with k parts, widest first, ``size`` is the
+    partition's size, sum of j k over the blocks, and phi(n, c) needs size
+    c >= need + 2 size d.
 
     Every state has then placed the same parts, so states are keyed by
     (size c, size d) alone, with no interleaving factor.  Once block j is
@@ -217,7 +218,7 @@ def _fixed_sum(need: int, blocks) -> int:
     """
     if not blocks:
         return 1
-    later = sum(j * k for j, k in blocks)
+    later = size
     states = {(0, 0): 1}
     for j, k in blocks[:-1]:
         later -= j * k
@@ -318,7 +319,7 @@ def moment_usp(n: int, a: Partition) -> int:
         raise OutOfRange(f"partition size {a.size} exceeds 4n+1 = {4 * n + 1}")
     if a.size & 1:
         return 0
-    return _fixed_sum(2 * n + 2, a.items[::-1])
+    return _fixed_sum(2 * n + 2, a.items[::-1], a.size)
 
 
 class FlaggedMoment(NamedTuple):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,17 +97,74 @@ def test_quadrature_matches_exact_formula():
 
 
 def test_cached_trace_columns_equal_per_call_sums():
-    # the cached trace-sum columns give the bits of forming every column in
-    # the call; odd sizes are summed in full, not answered by parity
+    # the cached trace powers give the bits of forming every column and its
+    # power in the call; odd sizes are summed in full, not answered by parity
     cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(4 * n + 1)]
-    cases.append((4, Partition({1: 8})))  # the README's quadrature row
+    cases += [(4, a) for a in partitions_of_size_at_most(17)]  # 1 212 partitions
     for n, a in cases:
         assert repr(moment_quadrature(n, a)) == repr(moment_quadrature_per_call(n, a)), (n, a.format())
     for n, count, j in ((1, 5, 1), (3, 11, 13), (4, 11, 1)):
-        column = haar._trace_column(n, count, j)
-        assert column.shape == (math.comb(count, n),) and not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = 0
+        column = haar._trace_power(n, count, j, 1)
+        for m in (1, 2, 3, 7):
+            power = haar._trace_power(n, count, j, m)
+            assert power.shape == (math.comb(count, n),) and not power.flags.writeable
+            # equal values and signs, not tobytes: longdouble pads with bytes
+            # that carry no value and differ between arrays
+            expected = column**m
+            assert np.array_equal(power, expected), (n, count, j, m)
+            assert np.array_equal(np.signbit(power), np.signbit(expected)), (n, count, j, m)
+            with pytest.raises(ValueError):
+                power[0] = 0
+
+
+def test_table_store_is_bounded_in_bytes(monkeypatch):
+    # a store of a few KB drops its oldest entries and keeps no entry larger
+    # than itself, and no value moves
+    cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(2 * n + 3)]
+    expected = [repr(moment_quadrature(n, a)) for n, a in cases]
+    cap = 4096
+    monkeypatch.setattr(haar, "_TABLE_BYTES", cap)
+    monkeypatch.setattr(haar, "_tables", {})
+    monkeypatch.setattr(haar, "_table_bytes", 0)
+    seen = set()
+    for (n, a), value in zip(cases, expected):
+        assert repr(moment_quadrature(n, a)) == value, (n, a.format())
+        held = sum(haar._nbytes(entry) for entry in haar._tables.values())
+        assert held == haar._table_bytes <= cap
+        seen.update(haar._tables)
+    assert len(seen) > len(haar._tables)  # entries were dropped
+    grid = haar._quadrature_grid(3, 12)  # 220 tuples: over 5 KB of node indices alone
+    assert haar._nbytes(grid) > cap and (3, 12) not in haar._tables
+    assert grid[0].shape == (math.comb(12, 3), 3) and not grid[2].flags.writeable
+    assert haar._quadrature_grid(3, 12) is not grid
+
+
+def test_table_store_is_shared_by_threads(monkeypatch):
+    # threads that fill and drain one small store keep its byte count equal
+    # to what it holds, and their values unchanged
+    cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(2 * n + 3)]
+    expected = [repr(moment_quadrature(n, a)) for n, a in cases]
+    cap = 8192
+    monkeypatch.setattr(haar, "_TABLE_BYTES", cap)
+    monkeypatch.setattr(haar, "_tables", {})
+    monkeypatch.setattr(haar, "_table_bytes", 0)
+
+    def run(start):
+        for _ in range(3):
+            for k in range(start, len(cases), 4):
+                assert repr(moment_quadrature(*cases[k])) == expected[k], cases[k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run, start % 4) for start in range(8)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    held = sum(haar._nbytes(entry) for entry in haar._tables.values())
+    assert held == haar._table_bytes <= cap
 
 
 _N4_PARTITIONS = [
@@ -297,7 +356,7 @@ def test_mc_config_rejects_a_fractional_sample_count():
 
 def test_moment_mc_rejects_a_negative_n():
     # the empty product too: n is checked before its early return
-    cfg = MCConfig(-1, 10, 0)
+    cfg = MCConfig(1, 10, 0)
     for a in (Partition({1: 2}), Partition()):
         with pytest.raises(PreconditionViolated, match="n = -1 is negative"):
             moment_mc(-1, a, cfg)
@@ -306,10 +365,27 @@ def test_moment_mc_rejects_a_negative_n():
 
 
 def test_moment_mc_rejects_a_fractional_n():
-    cfg = MCConfig(1.5, 10, 0)
+    cfg = MCConfig(1, 10, 0)
     for a in (Partition({1: 2}), Partition()):
         with pytest.raises(PreconditionViolated, match="n = 1.5 is not an integer"):
             moment_mc(1.5, a, cfg)
+
+
+@pytest.mark.parametrize(
+    "n,text",
+    [
+        (True, "n = True is not an integer"),
+        (2.0, "n = 2.0 is not an integer"),
+        (1.5, "n = 1.5 is not an integer"),
+        (-1, "n = -1 is negative"),
+    ],
+)
+def test_mc_config_checks_n(n, text):
+    # the config refuses its own n: True would run as n = 1, and 2.0 would
+    # pass run_mc's cfg.n == n test and die in the sampler
+    with pytest.raises(PreconditionViolated) as refused:
+        moment_mc(int(n), Partition({1: 2}), MCConfig(n, 100, 1))
+    assert str(refused.value) == text
 
 
 def test_stream_and_engine_share_samples():

@@ -185,7 +185,7 @@ def test_moment_usp_sum_rejects_non_integer_weights(blocks, zero_weight, fault):
 
 def _defining_sum_by_engine(n, a):
     """The fixed-count loop that moment_usp runs, with no range check."""
-    return moments._fixed_sum(2 * n + 2, a.items[::-1])
+    return moments._fixed_sum(2 * n + 2, a.items[::-1], a.size)
 
 
 PAST_4N_PLUS_1 = [
