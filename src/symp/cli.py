@@ -222,7 +222,7 @@ def _cmd_linstat(args) -> list[dict]:
     ]
     if args.samples is not None:
         cfg = haar.MCConfig(args.n, args.samples, args.seed)
-        est, stderr = linstat.statistic_moment_mc(args.n, args.nu, args.m, f, cfg, threads=args.threads)
+        [(est, stderr)] = linstat.statistic_moments_mc(args.n, args.nu, (args.m,), f, cfg, args.threads)
         rows.append(
             dict(
                 base,

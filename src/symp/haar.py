@@ -10,16 +10,19 @@ Two independent routes to ``int prod_j tr(U^j)^{a_j} dU``:
   is authoritative up to float roundoff, not an approximation.  The
   integrand is symmetric in the n angles and vanishes where two nodes
   coincide, so the rule sums over the C(N, n) strictly increasing node
-  tuples instead of the N^n grid.  The tuples and their normalised weights
-  are built once per (n, N), and the power tr(U^j)^m over the tuples once
-  per (n, N, j, m), as the trace-sum column (m = 1) to the power m; a call
-  only multiplies its parts' powers into the weights.  All are kept
-  read-only in one store bounded in bytes (_TABLE_BYTES, 64 MiB): a new
-  entry drops the oldest ones, in insertion order, until it fits, and one
-  larger than the bound is not kept.  N is worked out from n
-  and the partition, never chosen by the caller.  The quadrature evaluates
-  every partition in full, odd sizes included, which the exact side answers
-  by parity: it is the route that checks them.
+  tuples instead of the full tensor grid.  The tuples and their normalised
+  weights are built once per (n, N), and the power tr(U^j)^m over the
+  tuples once per (n, N, j, m), as the trace-sum column (m = 1) to the
+  power m; a call looks its grid up once and multiplies its parts' powers
+  into the weights.  All are kept read-only in one store of _TABLE_BYTES
+  (64 MiB), which drops its oldest entries first but never the grid of the
+  storing call.  The store is the quadrature's one cost bound: a call whose
+  grid, columns and powers would not fit raises BudgetExceeded before it
+  builds anything.  n <= 4 stays as a precision guard: with nodes that
+  carry a double-precision pi, it is where every size up to 4n+1 is checked
+  to stay within 1e-8 of the exact moment.  N is worked out from n and the
+  partition, never chosen by the caller.  Odd sizes are summed in full,
+  which makes the quadrature the check of the exact side's parity answer.
 
 * ``moment_mc`` / ``run_mc`` -- i.i.d. Haar samples from the Killip-Nenciu
   tridiagonal model of the beta = 2 Jacobi ensemble: 2n-1 independent Beta
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -57,15 +61,13 @@ from .errors import BudgetExceeded, PreconditionViolated, nonnegative_int, posit
 from .partitions import Partition
 
 MC_BLOCK_SIZE = 4096  # samples per seed block; fixed so results never depend on threads
-_MAX_GRID_POINTS = 4_000_000
 # cap on one band array of the trace recursion per chunk of samples, sized so
 # that a chunk's recursion stays in cache (the best of a measured grid from
 # 256 KiB to 4 MiB); no value depends on it
 _CHUNK_BYTES = 768 << 10
-# cap on the quadrature's grids and trace powers kept between calls; the
-# tables of the sweep and the README take a few hundred kilobytes, one grid
-# near the _MAX_GRID_POINTS guard 26 MB at n = 3 and 64 MB at n = 2; no
-# value depends on it
+# the quadrature's table store in bytes, and its cost bound: a call whose grid
+# and trace powers exceed it is refused.  The sweep and the README use a few
+# hundred kilobytes; no value depends on it
 _TABLE_BYTES = 64 << 20
 _tables: dict = {}  # key -> read-only array or tuple of arrays, oldest first
 _table_bytes = 0  # the bytes held in _tables
@@ -110,25 +112,34 @@ def default_nodes(n: int, a: Partition) -> int:
 def moment_quadrature(n: int, a: Partition) -> float:
     """Self-normalized quadrature of prod_j tr(U^j)^{a_j} over USp(2n).
 
-    Exact (up to roundoff): it runs on ``default_nodes(n, a)`` nodes per
-    angle.  An n that is not a non-negative integer raises
-    PreconditionViolated.  Guarded to n <= 4 and N^n grid points at most
-    4 000 000 for N nodes per angle (BudgetExceeded).  The sum runs over the
-    strictly increasing node tuples of ``_quadrature_grid``: sum_tuples
-    weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in ``longdouble``, with
-    each power (sum_k 2 cos(j phi_k))^{a_j} read from ``_trace_power``.
+    Exact (up to roundoff): it runs on N = ``default_nodes(n, a)`` nodes
+    per angle.  An n that is not a non-negative integer raises
+    PreconditionViolated; n > 4, or tables, ``_call_bytes(n, N, a)``, over
+    _TABLE_BYTES raise BudgetExceeded before anything is built.  The sum
+    runs over the strictly increasing node tuples of ``_quadrature_grid``:
+    sum_tuples weight * prod_j (sum_k 2 cos(j phi_k))^{a_j}, in
+    ``longdouble``, with each power read from ``_trace_power``.
     """
     n = nonnegative_int(n, "n")
     count = default_nodes(n, a)
     if n > 4:
         raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
-    if count**n > _MAX_GRID_POINTS:
-        raise BudgetExceeded(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
-
-    integrand = _quadrature_grid(n, count)[2]
+    if (need := _call_bytes(n, count, a)) > _TABLE_BYTES:
+        raise BudgetExceeded(f"quadrature tables of {need} bytes at n = {n}, N = {count} exceed {_TABLE_BYTES} bytes")
+    grid = _quadrature_grid(n, count)
+    integrand = grid[2]
     for j, m in a.items:
-        integrand = integrand * _trace_power(n, count, j, m)
+        integrand = integrand * _trace_power(grid, j, m)
     return float(integrand.sum())
+
+
+def _call_bytes(n: int, count: int, a: Partition) -> int:
+    """The bytes that ``moment_quadrature(n, a)`` on `count` nodes adds to an
+    empty table store: its grid, and per part j^m the trace column and, for
+    m > 1, its power."""
+    real = np.dtype(np.longdouble).itemsize
+    arrays = 1 + 2 * len(a.items) - [m for _, m in a.items].count(1)  # the weights, columns and powers
+    return math.comb(count, n) * (n * np.dtype(np.intp).itemsize + arrays * real) + count * real
 
 
 def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,19 +167,20 @@ def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return grid
 
 
-def _trace_power(n: int, count: int, j: int, m: int) -> np.ndarray:
-    """tr(U^j)^m = (sum_k 2 cos(j phi_k))^m on each tuple of
-    ``_quadrature_grid(n, count)``, in ``longdouble``; read-only.  m = 1 is
-    the trace-sum column and any other m is that column ``** m``.  Kept in
-    the table store under (n, count, j, m) alone, so every partition with m
-    parts j at that grid reads the same array."""
+def _trace_power(grid: tuple[np.ndarray, np.ndarray, np.ndarray], j: int, m: int) -> np.ndarray:
+    """tr(U^j)^m = (sum_k 2 cos(j phi_k))^m on each tuple of `grid`, the
+    caller's ``_quadrature_grid(n, count)``, in ``longdouble``; read-only.
+    m = 1 is the trace-sum column and any other m is that column ``** m``.
+    Kept in the table store under (n, count, j, m) alone, so every partition
+    with m parts j at that grid reads the same array."""
+    tuples, angle, _ = grid
+    n, count = tuples.shape[1], len(angle)
     power = _tables.get((n, count, j, m))
     if power is None:
         if m == 1:
-            tuples, angle, _ = _quadrature_grid(n, count)
             power = (2 * np.cos(j * angle))[tuples].sum(axis=1)
         else:
-            power = _trace_power(n, count, j, 1) ** m
+            power = _trace_power(grid, j, 1) ** m
         power = _store((n, count, j, m), power)
     return power
 
@@ -177,19 +189,20 @@ def _store(key: tuple[int, ...], value):
     """Make `value`, an array or a tuple of arrays, read-only and keep it in
     ``_tables`` under `key`.
 
-    The oldest entries are dropped first, until the store holds at most
-    _TABLE_BYTES; a value larger than that is returned but not kept.  A hit
-    moves nothing, so the store drops in insertion order.  A key that another
-    thread stored meanwhile is not stored twice.
+    The oldest entries other than key[:2] = (n, count), the grid that the
+    storing call uses, are dropped first, until the store holds at most
+    _TABLE_BYTES: the quadrature refuses tables that would not fit beside
+    that grid.  A hit moves nothing, so the store drops in insertion order.
+    A key that another thread stored meanwhile is not stored twice.
     """
     global _table_bytes
     for array in value if isinstance(value, tuple) else (value,):
         array.flags.writeable = False
     size = _nbytes(value)
     with _table_lock:
-        if size <= _TABLE_BYTES and key not in _tables:
+        if key not in _tables:
             while _table_bytes + size > _TABLE_BYTES:
-                _table_bytes -= _nbytes(_tables.pop(next(iter(_tables))))
+                _table_bytes -= _nbytes(_tables.pop(next(old for old in _tables if old != key[:2])))
             _tables[key] = value
             _table_bytes += size
     return value
@@ -363,7 +376,8 @@ def run_mc(
     of every column, reduced as contiguous rows.  The blocks are merged in
     index order, all columns at once, by the pairwise update of Chan, Golub
     and LeVeque (1983), which avoids the cancellation of sum(x^2) - N
-    mean^2; so the output is identical for every ``threads`` value.  ``n``
+    mean^2; so the output is identical for every ``threads`` value, and at
+    most min(threads, blocks, CPUs) worker processes are opened.  ``n``
     must be a non-negative integer equal to ``cfg.n`` and the statistic
     must have ``n_stats`` columns, and ``threads`` must be an integer >= 1
     (PreconditionViolated otherwise).
@@ -380,8 +394,9 @@ def run_mc(
     total = cfg.sample_count
     block = partial(_mc_block, cfg, stat_fn, stat_args)
     blocks = -(-total // MC_BLOCK_SIZE)
-    if threads > 1 and blocks > 1:
-        with get_context("fork").Pool(processes=min(threads, blocks)) as pool:
+    workers = min(threads, blocks, os.cpu_count() or 1)
+    if workers > 1:
+        with get_context("fork").Pool(processes=workers) as pool:
             results = pool.map(block, range(blocks), chunksize=1)
     else:
         results = map(block, range(blocks))  # lazy: a wrong column count stops at the first block

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools  # unused here: bench/tracer.py swaps linstat.itertools for a counting stand-in
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,17 +131,22 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
 
     n and m must be non-negative integers and nu an integer
     (PreconditionViolated otherwise).  Every multi-index within the Fourier
-    support must induce a partition of size <= 4n+1; otherwise OutOfRange
-    reports the first offending multi-index.  The weights are scaled to
-    integers by the common denominator of f's coefficients before folding.
+    support must induce a partition of size <= 4n+1: the widest is m copies
+    of the widest index |nu + s| (s = +-j, fhat(j) != 0), and OutOfRange
+    names it and the largest m in range when it does not.  The weights are
+    scaled to integers by the common denominator of f's coefficients before
+    folding.
     """
     n = nonnegative_int(n, "n")
     nu = integer(nu, "nu")
     m = nonnegative_int(m, "moment order m")
     coefficients = [(j, Fraction(v)) for j, v in f.coefficients if v != 0]
-    pool = sorted({nu + s for j, _ in coefficients for s in (j, -j)})
-    if pool and m * max(-pool[0], pool[-1]) > 4 * n + 1:
-        _raise_out_of_range(n, m, pool)
+    widest = max((abs(nu + s) for j, _ in coefficients for s in (j, -j)), default=0)
+    if m * widest > 4 * n + 1:
+        raise OutOfRange(
+            f"m = {m} copies of index {widest} need partition {Partition({widest: m})} of size {m * widest}"
+            f" > 4n+1 = {4 * n + 1}; m <= {(4 * n + 1) // widest} is in range"
+        )
     scale = math.lcm(*(v.denominator for _, v in coefficients))
     folded = _folded_weights(nu, [(j, v.numerator * (scale // v.denominator)) for j, v in coefficients])
     blocks = [(j, w) for j, w in folded.items() if j and w]
@@ -150,25 +154,6 @@ def statistic_moment_exact(n: int, nu: int, m: int, f: FourierTestFn):
     if not f.is_exact():
         return float(value)
     return int(value) if value.denominator == 1 else value
-
-
-def _raise_out_of_range(n: int, m: int, pool: list[int]) -> None:
-    """Raise OutOfRange for the first multi-index, in the order of
-    ``itertools.combinations_with_replacement`` over ``pool``, the ascending
-    indices nu + s (s = +-j, fhat(j) != 0), whose partition exceeds 4n+1.
-
-    That order is lexicographic, so the first one is built greedily: each
-    position takes the smallest index v, not below the previous one, that
-    leaves size + |v| + (positions left) max(|v|, |largest index|) > 4n+1.
-    """
-    multiset, size = [], 0
-    for left in range(m - 1, -1, -1):
-        start = pool.index(multiset[-1]) if multiset else 0
-        v = next(v for v in pool[start:] if size + abs(v) + left * max(abs(v), abs(pool[-1])) > 4 * n + 1)
-        multiset.append(v)
-        size += abs(v)
-    a = Partition(Counter(abs(idx) for idx in multiset if idx))
-    raise OutOfRange(f"multi-index {tuple(multiset)} needs partition {a} of size {a.size} > 4n+1 = {4 * n + 1}")
 
 
 def statistic_moment_gaussian(n: int, nu: int, m: int, f: FourierTestFn) -> float:
@@ -215,9 +200,3 @@ def statistic_moments_mc(
     weights = tuple(v for _, v in folded)
     return run_mc(n, cfg, _w_power_stat, (indices, weights, ms), len(ms), threads)
 
-
-def statistic_moment_mc(
-    n: int, nu: int, m: int, f: FourierTestFn, cfg: MCConfig, threads: int = 1
-) -> tuple[float, float]:
-    """Sample mean and standard error of W^m over Haar USp(2n)."""
-    return statistic_moments_mc(n, nu, (m,), f, cfg, threads)[0]

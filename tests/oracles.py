@@ -48,10 +48,14 @@ from symp.ffield import (
     poly_trim,
     primes_of_degree,
 )
-from symp.haar import _MAX_GRID_POINTS, MCConfig, default_nodes, quadrature_nodes
+from symp.haar import MCConfig, default_nodes, quadrature_nodes
 from symp.linstat import FourierTestFn
 from symp.moments import double_factorial
 from symp.partitions import Partition
+
+# cap on the count^n points of moment_quadrature_full_grid, which really is a
+# tensor grid
+FULL_GRID_POINTS = 4_000_000
 
 
 def partitions_by_descent(k: int) -> Iterator[Partition]:
@@ -249,7 +253,7 @@ def moment_quadrature_full_grid(n: int, a: Partition, count: int | None = None) 
     `count` nodes per angle, by default ``default_nodes(n, a)``; exact (up
     to roundoff) down to ``default_nodes(n, a) - 2``, the fewest that meet
     the degree bound, and fewer raise PreconditionViolated.  Guarded to
-    n <= 4 / moderate grids.
+    n <= 4 and count^n <= FULL_GRID_POINTS (BudgetExceeded).
     """
     fewest = default_nodes(n, a) - 2
     if count is None:
@@ -260,8 +264,8 @@ def moment_quadrature_full_grid(n: int, a: Partition, count: int | None = None) 
         )
     if n > 4:
         raise BudgetExceeded(f"quadrature limited to n <= 4, got n = {n}")
-    if count**n > _MAX_GRID_POINTS:
-        raise BudgetExceeded(f"grid {count}^{n} exceeds {_MAX_GRID_POINTS} points")
+    if count**n > FULL_GRID_POINTS:
+        raise BudgetExceeded(f"grid {count}^{n} exceeds {FULL_GRID_POINTS} points")
 
     x, w = quadrature_nodes(count)
     theta = np.arccos(x) / (2 * np.longdouble(math.pi))

@@ -97,10 +97,11 @@ def test_oracle_mc_deterministic(capsys):
 
 
 def test_oracle_cost_guard_exit(capsys):
-    # 1^100 at n = 4 needs 56 nodes per angle: 56^4 grid points
-    code, out, err = run_cli(capsys, "oracle", "--n", "4", "--partition", "1^100")
+    # 1^3990 at n = 2 needs 1999 nodes per angle: a 64 MB grid and its
+    # column and power, over the quadrature's 64 MiB table store
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--partition", "1^3990")
     assert code == EXIT_BUDGET
-    assert out == "" and "budget" in err
+    assert out == "" and "budget" in err and "N = 1999 exceed 67108864 bytes" in err
 
 
 def test_ffcheck_rows_and_bound(capsys):
@@ -240,8 +241,8 @@ def test_linstat_negative_m_exit(capsys):
 
 
 def test_linstat_out_of_range_exits_fast():
-    # m = 60 over 11 indices: the first offending multi-index is built
-    # directly, not found by walking the C(70, 60) multisets before it
+    # m = 60 over 11 indices: the refusal names the widest multi-index, 60
+    # copies of index 10, without walking the C(70, 60) multisets
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = ["linstat", "--n", "100", "--nu", "5", "--m", "60", "--f", "0:1 1:1 2:1 3:1 4:1 5:1"]
@@ -250,7 +251,7 @@ def test_linstat_out_of_range_exits_fast():
     )
     assert done.returncode == EXIT_OUT_OF_RANGE, done.stderr
     assert done.stdout == ""
-    assert "needs partition 2^1 10^40 of size 402 > 4n+1 = 401" in done.stderr
+    assert "m = 60 copies of index 10 need partition 10^60 of size 600 > 4n+1 = 401; m <= 40 is in range" in done.stderr
 
 
 def test_linstat_negative_nu_main_term(capsys):

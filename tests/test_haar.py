@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -96,6 +97,23 @@ def test_quadrature_matches_exact_formula():
             assert moment_quadrature(n, a) == pytest.approx(moment_usp(n, a), abs=1e-8)
 
 
+# sha256 of the joined reprs of moment_quadrature over every partition of
+# size <= min(4n+9, 21) at n = 0..4, then 1^40 at n = 4, 1^60 at n = 3 and
+# 1^100 at n = 2, recorded with the 80-bit x87 longdouble
+QUADRATURE_DIGEST = "85a1a27926bd28a7edcc94afe951d0d47c5f2ccc84de996484a1097aa1f73e52"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="the digest pins the bits of a longdouble with a 64-bit significand"
+)
+def test_quadrature_digest():
+    cases = [(n, a) for n in range(5) for a in partitions_of_size_at_most(min(4 * n + 9, 21))]
+    cases += [(4, Partition({1: 40})), (3, Partition({1: 60})), (2, Partition({1: 100}))]
+    assert len(cases) == 8697
+    values = "".join(repr(moment_quadrature(n, a)) for n, a in cases)
+    assert hashlib.sha256(values.encode()).hexdigest() == QUADRATURE_DIGEST
+
+
 def test_cached_trace_columns_equal_per_call_sums():
     # the cached trace powers give the bits of forming every column and its
     # power in the call; odd sizes are summed in full, not answered by parity
@@ -104,9 +122,10 @@ def test_cached_trace_columns_equal_per_call_sums():
     for n, a in cases:
         assert repr(moment_quadrature(n, a)) == repr(moment_quadrature_per_call(n, a)), (n, a.format())
     for n, count, j in ((1, 5, 1), (3, 11, 13), (4, 11, 1)):
-        column = haar._trace_power(n, count, j, 1)
+        grid = haar._quadrature_grid(n, count)
+        column = haar._trace_power(grid, j, 1)
         for m in (1, 2, 3, 7):
-            power = haar._trace_power(n, count, j, m)
+            power = haar._trace_power(grid, j, m)
             assert power.shape == (math.comb(count, n),) and not power.flags.writeable
             # equal values and signs, not tobytes: longdouble pads with bytes
             # that carry no value and differ between arrays
@@ -117,34 +136,43 @@ def test_cached_trace_columns_equal_per_call_sums():
                 power[0] = 0
 
 
+def _fits(cases, cap):
+    """The (n, a) of `cases` whose quadrature tables fit a store of `cap` bytes."""
+    return [(n, a) for n, a in cases if haar._call_bytes(n, default_nodes(n, a), a) <= cap]
+
+
 def test_table_store_is_bounded_in_bytes(monkeypatch):
-    # a store of a few KB drops its oldest entries and keeps no entry larger
-    # than itself, and no value moves
+    # a store of a few KB drops its oldest entries and no value moves; a call
+    # whose tables exceed it is refused and stores nothing
     cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(2 * n + 3)]
-    expected = [repr(moment_quadrature(n, a)) for n, a in cases]
+    expected = {(n, a): repr(moment_quadrature(n, a)) for n, a in cases}
     cap = 4096
     monkeypatch.setattr(haar, "_TABLE_BYTES", cap)
     monkeypatch.setattr(haar, "_tables", {})
     monkeypatch.setattr(haar, "_table_bytes", 0)
+    fitting = _fits(cases, cap)
+    assert 0 < len(fitting) < len(cases)  # 92 of 168 fit
     seen = set()
-    for (n, a), value in zip(cases, expected):
-        assert repr(moment_quadrature(n, a)) == value, (n, a.format())
+    for n, a in cases:
+        before = list(haar._tables), haar._table_bytes
+        if (n, a) in fitting:
+            assert repr(moment_quadrature(n, a)) == expected[(n, a)], (n, a.format())
+        else:
+            with pytest.raises(BudgetExceeded, match=f"exceed {cap} bytes"):
+                moment_quadrature(n, a)
+            assert (list(haar._tables), haar._table_bytes) == before
         held = sum(haar._nbytes(entry) for entry in haar._tables.values())
         assert held == haar._table_bytes <= cap
         seen.update(haar._tables)
     assert len(seen) > len(haar._tables)  # entries were dropped
-    grid = haar._quadrature_grid(3, 12)  # 220 tuples: over 5 KB of node indices alone
-    assert haar._nbytes(grid) > cap and (3, 12) not in haar._tables
-    assert grid[0].shape == (math.comb(12, 3), 3) and not grid[2].flags.writeable
-    assert haar._quadrature_grid(3, 12) is not grid
 
 
 def test_table_store_is_shared_by_threads(monkeypatch):
     # threads that fill and drain one small store keep its byte count equal
     # to what it holds, and their values unchanged
-    cases = [(n, a) for n in range(4) for a in partitions_of_size_at_most(2 * n + 3)]
-    expected = [repr(moment_quadrature(n, a)) for n, a in cases]
     cap = 8192
+    cases = _fits([(n, a) for n in range(4) for a in partitions_of_size_at_most(2 * n + 3)], cap)
+    expected = [repr(moment_quadrature(n, a)) for n, a in cases]
     monkeypatch.setattr(haar, "_TABLE_BYTES", cap)
     monkeypatch.setattr(haar, "_tables", {})
     monkeypatch.setattr(haar, "_table_bytes", 0)
@@ -165,6 +193,56 @@ def test_table_store_is_shared_by_threads(monkeypatch):
         sys.setswitchinterval(interval)
     held = sum(haar._nbytes(entry) for entry in haar._tables.values())
     assert held == haar._table_bytes <= cap
+
+
+def test_guard_predicts_the_bytes_a_call_stores(monkeypatch):
+    # _call_bytes, the quadrature's cost bound, is what a call adds to an
+    # empty store: its grid, and per part j^m its column and, for m > 1, its
+    # power
+    for n in range(1, 5):
+        for parts in ({1: 1}, {3: 2}, {1: 1, 2: 3}, {1: 4, 2: 1, 5: 2}):
+            a = Partition(parts)
+            monkeypatch.setattr(haar, "_tables", {})
+            monkeypatch.setattr(haar, "_table_bytes", 0)
+            moment_quadrature(n, a)
+            assert haar._table_bytes == haar._call_bytes(n, default_nodes(n, a), a), (n, a.format())
+    # the bound itself: a store of exactly those bytes admits the call
+    a = Partition({1: 4, 2: 1})
+    need = haar._call_bytes(3, default_nodes(3, a), a)
+    monkeypatch.setattr(haar, "_TABLE_BYTES", need - 1)
+    with pytest.raises(BudgetExceeded):
+        moment_quadrature(3, a)
+    monkeypatch.setattr(haar, "_TABLE_BYTES", need)
+    assert moment_quadrature(3, a) == pytest.approx(moment_usp(3, a), abs=1e-9)
+
+
+def test_quadrature_refuses_before_building(monkeypatch):
+    # 1^3990 at n = 2 needs N = 1999 nodes: a 64 MB grid and its column and
+    # power, 128 MB in all, over the 64 MiB store
+    def unbuilt(count):
+        raise AssertionError(f"a grid of {count} nodes was built")
+
+    monkeypatch.setattr(haar, "quadrature_nodes", unbuilt)
+    with pytest.raises(BudgetExceeded, match=r"at n = 2, N = 1999 exceed 67108864 bytes"):
+        moment_quadrature(2, Partition({1: 3990}))
+
+
+def test_a_grid_is_built_once_while_its_calls_fill_the_store(monkeypatch):
+    # n = 3, N = 150: a 22 MB grid, and columns and powers of 8.8 MB each, so
+    # the 64 MiB store drops entries from the third call on, never the grid;
+    # quadrature_nodes runs once per grid built
+    builds, nodes = [], haar.quadrature_nodes
+    monkeypatch.setattr(haar, "quadrature_nodes", lambda count: builds.append(count) or nodes(count))
+    monkeypatch.setattr(haar, "_tables", {})
+    monkeypatch.setattr(haar, "_table_bytes", 0)
+    moment_quadrature(2, Partition({1: 2, 2: 1}))
+    assert builds == [default_nodes(2, Partition({1: 2, 2: 1}))]
+    builds.clear()
+    moment_quadrature(3, Partition({1: 290}))
+    for j in range(2, 12):
+        moment_quadrature(3, Partition({1: 290 - j, j: 1}))
+    assert builds == [150]
+    assert haar._table_bytes <= haar._TABLE_BYTES
 
 
 _N4_PARTITIONS = [
@@ -238,11 +316,18 @@ def test_config_for_another_n_is_rejected():
 
 
 def test_cost_guard():
+    # n > 4 is refused for precision, whatever its tables; past that the unit
+    # is bytes of tables against the 64 MiB store: 1^100 at n = 4 (N = 56, 28
+    # MiB) and 1^124 (N = 68) fit, 1^126 (N = 69) does not
     with pytest.raises(BudgetExceeded, match="n <= 4"):
         moment_quadrature(5, Partition({1: 2}))
-    # a large partition needs more nodes: 56 per angle, 56^4 grid points
-    with pytest.raises(BudgetExceeded, match=r"grid 56\^4 exceeds"):
-        moment_quadrature(4, Partition({1: 100}))
+    for m, count, fits in ((100, 56, True), (124, 68, True), (126, 69, False)):
+        a = Partition({1: m})
+        assert default_nodes(4, a) == count
+        assert (haar._call_bytes(4, count, a) <= haar._TABLE_BYTES) == fits
+    assert haar._call_bytes(4, 56, Partition({1: 100})) == 29_384_096
+    with pytest.raises(BudgetExceeded, match=r"quadrature tables of \d+ bytes at n = 4, N = 69 exceed"):
+        moment_quadrature(4, Partition({1: 126}))
 
 
 def test_sampler_stream_properties():
@@ -317,9 +402,13 @@ def test_run_mc_opens_no_more_workers_than_blocks(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr(haar, "get_context", lambda method: Context())
-    a, cfg = Partition({1: 2}), MCConfig(1, 2 * haar.MC_BLOCK_SIZE, 0)
-    assert repr(moment_mc(1, a, cfg, threads=64)) == repr(moment_mc(1, a, cfg, threads=1))
-    assert opened == [2]
+    a = Partition({1: 2})
+    for cpus, blocks, expected in ((8, 2, [2]), (3, 5, [3]), (1, 5, []), (None, 5, [])):
+        monkeypatch.setattr(haar.os, "cpu_count", lambda: cpus)
+        cfg = MCConfig(1, blocks * haar.MC_BLOCK_SIZE, 0)
+        opened.clear()
+        assert repr(moment_mc(1, a, cfg, threads=64)) == repr(moment_mc(1, a, cfg, threads=1))
+        assert opened == expected, (cpus, blocks)
 
 
 def test_moment_mc_against_exact_small():
@@ -494,7 +583,7 @@ def test_threads_must_be_an_integer_of_at_least_one(threads):
         lambda: moment_mc(1, Partition(), MCConfig(1, 10, 0), threads),
         lambda: statistic_moments_mc(1, 1, (2,), f, MCConfig(1, 10, 0), threads),
         lambda: statistic_moments_mc(1, 1, (), f, MCConfig(1, 10, 0), threads),
-        lambda: linstat.statistic_moment_mc(1, 1, 2, f, MCConfig(1, 10, 0), threads),
+        lambda: linstat.statistic_moments_mc(1, 1, (2, 4), f, MCConfig(1, 10, 0), threads),
     ]
     for call in calls:
         with pytest.raises(PreconditionViolated, match=text):

@@ -14,7 +14,6 @@ from symp.linstat import (
     FourierTestFn,
     statistic_moment_exact,
     statistic_moment_gaussian,
-    statistic_moment_mc,
     statistic_moments_mc,
 )
 from symp.moments import moment_usp
@@ -189,7 +188,7 @@ def test_no_moment_orders_draw_nothing(monkeypatch):
         (lambda: moment_main_term(-1, 0, Partition()), "n = -1 is negative"),
         (lambda: statistic_moment_gaussian(4, 2.5, 2, FH), "nu = 2.5 is not an integer"),
         (lambda: statistic_moment_gaussian(4, 2, -2, FH), "m = -2 is negative"),
-        (lambda: statistic_moment_mc(2, 1, -1, FH, MCConfig(2, 10, 1)), "m = -1 is negative"),
+        (lambda: statistic_moments_mc(2, 1, (-1,), FH, MCConfig(2, 10, 1)), "m = -1 is negative"),
     ],
     ids=[
         "exact_fractional_nu",
@@ -238,15 +237,18 @@ def test_exact_moment_float_path():
 
 
 def test_out_of_range_reports_multi_index():
+    # the widest multi-index, m copies of the widest folded index |nu + s|,
+    # and the largest m in range
     with pytest.raises(OutOfRange) as err:
         statistic_moment_exact(1, 3, 2, F0)
-    assert "(3, 3)" in str(err.value)
-    # the first offending multi-index in combinations_with_replacement order
+    assert str(err.value) == "m = 2 copies of index 3 need partition 3^2 of size 6 > 4n+1 = 5; m <= 1 is in range"
     with pytest.raises(OutOfRange) as err:
         statistic_moment_exact(20, 10, 8, FH)
-    assert str(err.value) == (
-        "multi-index (9, 9, 9, 11, 11, 11, 11, 11) needs partition 9^3 11^5 of size 82 > 4n+1 = 81"
-    )
+    assert str(err.value) == "m = 8 copies of index 11 need partition 11^8 of size 88 > 4n+1 = 81; m <= 7 is in range"
+    statistic_moment_exact(20, 10, 7, FH)  # the m it names is in range
+    # a negative nu folds -nu - j onto its absolute value
+    with pytest.raises(OutOfRange, match="m = 3 copies of index 12 need partition 12\\^3 of size 36 > 4n\\+1 = 33;"):
+        statistic_moment_exact(8, -10, 3, FourierTestFn.parse("0:1 2:1"))
     # boundary: m * (nu + J) = 4n+1 exactly is fine
     assert statistic_moment_exact(30, 30, 4, FourierTestFn.parse("0:1")) == 2876
 
@@ -280,7 +282,7 @@ def test_main_term_consistency_sweep():
 
 def test_mc_against_exact():
     exact = statistic_moment_exact(5, 5, 2, F0)
-    est, se = statistic_moment_mc(5, 5, 2, F0, MCConfig(5, 40_000, 2), threads=2)
+    [(est, se)] = statistic_moments_mc(5, 5, (2,), F0, MCConfig(5, 40_000, 2), threads=2)
     assert abs(est - float(exact)) <= 5 * se
 
 
@@ -301,16 +303,16 @@ def test_mc_statistic_matches_its_definition():
 def test_mc_engine_matches_single_calls():
     cfg = MCConfig(3, 5_000, 8)
     multi = statistic_moments_mc(3, 3, (1, 2), FH, cfg)
-    single1 = statistic_moment_mc(3, 3, 1, FH, cfg)
-    single2 = statistic_moment_mc(3, 3, 2, FH, cfg)
+    single1 = statistic_moments_mc(3, 3, (1,), FH, cfg)[0]
+    single2 = statistic_moments_mc(3, 3, (2,), FH, cfg)[0]
     assert multi[0] == single1
     assert multi[1] == single2
 
 
 def test_mc_determinism():
     cfg = MCConfig(2, 10_000, 5)
-    r1 = statistic_moment_mc(2, 2, 2, FH, cfg, threads=1)
-    r2 = statistic_moment_mc(2, 2, 2, FH, cfg, threads=2)
+    r1 = statistic_moments_mc(2, 2, (2,), FH, cfg, threads=1)[0]
+    r2 = statistic_moments_mc(2, 2, (2,), FH, cfg, threads=2)[0]
     assert r1 == r2
     assert repr(statistic_moments_mc(2, 2, (2, 4), FH, cfg, threads=1)) == repr(
         statistic_moments_mc(2, 2, (2, 4), FH, cfg, threads=2)
