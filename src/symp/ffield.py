@@ -24,16 +24,17 @@ chunks of the same route.  The family sums read two per-degree columns,
 sum_P (h/P) and #{P : P does not divide h}, from the chunks' blocks; the
 L-polynomials read the Euler product over the primes from the same blocks.
 Every table over the q^d codes of one degree passes ``_check_codes`` (q^d <=
-DEFAULT_BUDGET) first; ``empirical_moment``'s budget (``ffcheck --budget``)
-is checked once, at entry, and can only lower that bound.
+DEFAULT_BUDGET) first; a family sum's budget (``ffcheck --budget``) is
+checked once, at entry, and can only lower that bound.
 
-The family sums run over one curve per translation orbit.  h(x) -> h(x+v)
-permutes the primes of every degree, so it keeps every per-curve sum
-sum_Q Lambda(Q) (h/Q); it moves c_{d-1} to c_{d-1} + d v, so when q does not
-divide d = deg h each orbit holds exactly one h with c_{d-1} = 0, and a sum
-over the family (or over all monic h) is q times the sum over those: the
-codes below q^(d-1), so only their rows are built.  When q divides d every h
-keeps its c_{d-1} and the sums run over all rows.
+The family sums run over one curve per translation orbit, in ``_family_sum``
+(with the budget check).  h(x) -> h(x+v) permutes the primes of every
+degree, so it keeps every per-curve sum sum_Q Lambda(Q) (h/Q); it moves
+c_{d-1} to c_{d-1} + d v, so when q does not divide d = deg h each orbit
+holds exactly one h with c_{d-1} = 0, and a sum over the family (or over
+all monic h) is q times the sum over those: the codes below q^(d-1), so
+only their rows are built.  When q divides d every h keeps its c_{d-1} and
+the sums run over all rows.
 The L-polynomials are per curve, but c_i = sum_{deg F = i} (h/F) is kept too,
 since F(x) -> F(x+v) permutes the monic F of each degree: a batch computes
 one row per translation class of its input and copies the result to the
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, perm, prod
-from typing import Iterator, Literal, Sequence, get_args
+from typing import Callable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -610,18 +611,24 @@ def hyperelliptic_rows(field: PrimeField, n: int) -> np.ndarray:
     return _code_rows(field, np.flatnonzero(_squarefree_codes(field, degree)), degree)
 
 
-def _orbit_representatives(field: PrimeField, degree: int, squarefree: bool) -> tuple[np.ndarray, int]:
-    """One monic row of the given degree per orbit of h(x) -> h(x+v), among
-    all monic h or only the squarefree ones, and the orbit size.
-
-    When q does not divide the degree d, each orbit holds one h with
-    c_{d-1} = 0, and c_{d-1} is the top base-q digit: the representatives
-    are the codes below q^(d-1), in code order, with weight q.  Otherwise
-    every code, with weight 1.
-    """
+def _family_sum(
+    field: PrimeField, n: int, a: Partition, squarefree: bool, column: Callable, budget: int = DEFAULT_BUDGET
+) -> tuple[int, int]:
+    """(S, N): the exact integer sum over the monic h of degree d = 2n+1 (the
+    squarefree ones, or all) of prod column(rows, j, m) over the parts j^m of
+    `a`, and N, the number of those h.  q^d and q^j for every part size j pass
+    the budget before any table is built.  The rows are one h per translation
+    orbit (module docstring), and S and N are scaled by the orbit size."""
+    degree = 2 * nonnegative_int(n, "n") + 1
+    for d in (degree, *a.support):
+        _check_codes(field, d, budget)
     keep = _squarefree_codes(field, degree) if squarefree else np.ones(_check_codes(field, degree), dtype=bool)
     weight = 1 if degree % field.q == 0 else field.q
-    return _code_rows(field, np.flatnonzero(keep[: keep.size // weight]), degree), weight
+    rows = _code_rows(field, np.flatnonzero(keep[: keep.size // weight]), degree)
+    product = np.ones(rows.shape[0], dtype=object)
+    for j, m in a.items:
+        product = product * column(rows, j, m)
+    return weight * int(product.sum()), weight * rows.shape[0]
 
 
 def empirical_moment(
@@ -634,21 +641,13 @@ def empirical_moment(
     """Family average of prod_j tr(Theta_h^j)^{a_j}; -> moment_usp(n, a) as q grows.
 
     Per curve, q^{j/2} tr(Theta_h^j) = -sum_{deg Q = j} Lambda(Q) (h/Q); the
-    products over j are exact Python integers, no overflow guard, summed
-    before the single final division, so the average is independent of
-    chunking.  The sum runs over one curve per translation orbit (all curves
-    when q divides 2n+1); the sum and the curve count are multiplied by the
-    orbit size before the division, so they are the full family's integers.
+    average is S / (N q^(size/2)) for the exact (S, N) of ``_family_sum``.
     """
     _check_mode(mode)  # also for the empty partition, which reads no prime power
-    for degree in (2 * nonnegative_int(n, "n") + 1, *a.support):  # bounds every table built here
-        _check_codes(field, degree, budget)
-    rows, weight = _orbit_representatives(field, 2 * n + 1, squarefree=True)
-    product = np.ones(rows.shape[0], dtype=object)
-    for j, m in a.items:
-        product = product * weighted_char_sums(field, rows, j, mode).astype(object) ** m
-    sign = (-1) ** a.length
-    return sign * (weight * int(product.sum())) / (weight * rows.shape[0] * field.q ** (a.size / 2))
+    total, curves = _family_sum(
+        field, n, a, True, lambda rows, j, m: weighted_char_sums(field, rows, j, mode).astype(object) ** m, budget
+    )
+    return (-1) ** a.length * total / (curves * field.q ** (a.size / 2))
 
 
 def _elementary_from_power_sums(power: list[int], r: int) -> int:
@@ -664,19 +663,17 @@ def _elementary_from_power_sums(power: list[int], r: int) -> int:
 
 def _distinct_prime_sums(field: PrimeField, n: int, a: Partition, weighted: bool) -> int:
     """Sum over monic h of prod_j a_j! e_{a_j}(x_P : deg P = j), with x_P =
-    (h/P), times j when weighted.  Newton's identities give e_m from the
-    power sums sum_P x_P^k: scale^k times the ``_prime_sums`` column
-    sum_P (h/P) for odd k and #{P : P does not divide h} for even k.  The
-    summand is invariant under h(x) -> h(x+v), so the sum runs over one h
-    per translation orbit times the orbit size (all h when q divides 2n+1)."""
-    rows, weight = _orbit_representatives(field, 2 * nonnegative_int(n, "n") + 1, squarefree=False)
-    terms = np.ones(rows.shape[0], dtype=object)
-    for j, m in a.items:
+    (h/P), times j when weighted, by ``_family_sum``.  Newton's identities
+    give e_m from the power sums sum_P x_P^k: j^k (if weighted) times the
+    ``_prime_sums`` column sum_P (h/P) for odd k and #{P : P does not
+    divide h} for even k."""
+
+    def column(rows: np.ndarray, j: int, m: int):
         odd, even = _prime_sums(field, rows, j).astype(object)
-        scale = j if weighted else 1
-        power = [scale**k * (odd if k % 2 else even) for k in range(1, m + 1)]
-        terms = terms * (factorial(m) * _elementary_from_power_sums(power, m))
-    return weight * int(terms.sum())
+        power = [(j if weighted else 1) ** k * (odd if k % 2 else even) for k in range(1, m + 1)]
+        return factorial(m) * _elementary_from_power_sums(power, m)
+
+    return _family_sum(field, n, a, False, column)[0]
 
 
 def char_sum_distinct_primes(field: PrimeField, n: int, a: Partition) -> int:

@@ -156,10 +156,10 @@ def _quadrature_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.nda
     grid = _tables.get((n, count))
     if grid is None:
         x, w = quadrature_nodes(count)
-        tuples = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(count), n)), dtype=np.intp
-        ).reshape(math.comb(count, n), n)  # n = 0: one empty tuple
-        weight = w[tuples].prod(axis=1)
+        size = math.comb(count, n)  # n = 0: one empty tuple
+        flat = itertools.chain.from_iterable(itertools.combinations(range(count), n))
+        tuples = np.fromiter(flat, dtype=np.intp, count=size * n).reshape(size, n)
+        weight = math.prod((w[k] for k in tuples.T), start=np.ones(size, np.longdouble))
         for p, r in itertools.combinations(range(n), 2):
             weight *= (2 * x[tuples[:, p]] - 2 * x[tuples[:, r]]) ** 2
         weight /= weight.sum()
@@ -177,8 +177,10 @@ def _trace_power(grid: tuple[np.ndarray, np.ndarray, np.ndarray], j: int, m: int
     n, count = tuples.shape[1], len(angle)
     power = _tables.get((n, count, j, m))
     if power is None:
-        if m == 1:
-            power = (2 * np.cos(j * angle))[tuples].sum(axis=1)
+        if m == 1:  # in place, one tuple column at a time: no (tuples, n) temporary
+            power = np.zeros(len(tuples), np.longdouble)
+            for k in tuples.T:
+                power += (2 * np.cos(j * angle))[k]
         else:
             power = _trace_power(grid, j, 1) ** m
         power = _store((n, count, j, m), power)

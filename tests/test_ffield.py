@@ -30,7 +30,7 @@ from symp.ffield import (
     _degree_symbols,
     _distinct_prime_sums,
     _even_words,
-    _orbit_representatives,
+    _family_sum,
     _prime_sums,
     _translation_classes,
     LPolynomial,
@@ -304,7 +304,8 @@ def chunk_bytes(field, rows, degree, primes):
 @pytest.mark.parametrize("q,n", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2), (23, 1)])
 def test_chunking_leaves_every_value(monkeypatch, q, n):
     field = PrimeField(q)
-    rows = _orbit_representatives(field, 2 * n + 1, squarefree=True)[0]
+    rows = hyperelliptic_rows(field, n)
+    rows = rows[rows[:, 2 * n] == 0]  # one curve per translation orbit when q does not divide 2n+1
     degrees = range(1, max(2 * n, 2) + 1)
 
     def values():
@@ -537,7 +538,8 @@ def test_l_polynomials_batch_genus_2_at_q11():
     # 6 300 curves at q = 11, n = 2: tables of (h/F) over the codes of F
     # would hold (1 + 11 + ... + 11^4) * 6 300 = 101.5 M entries, above 10^8
     field = PrimeField(11)
-    rows = _orbit_representatives(field, 5, squarefree=True)[0][:6300]
+    rows = hyperelliptic_rows(field, 2)
+    rows = rows[rows[:, 4] == 0][:6300]
     coeffs = l_polynomials_batch(field, 2, rows)
     assert coeffs.shape == (6300, 5) and (coeffs[:, 0] == 1).all()
     assert all(LPolynomial(11, 2, tuple(c)).functional_equation_ok() for c in coeffs.tolist())
@@ -697,28 +699,43 @@ def full_distinct_prime_sum(symbols, a, weighted):
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_orbit_sums_equal_full_family_sums(q, n):
-    """Every family sum equals the sum over all rows, as exact integers,
-    including q | 2n+1 ((3, 1), (5, 2)), where no rows are dropped."""
+    """_family_sum's (S, N) are the whole family's integers, including
+    q | 2n+1 ((3, 1), (5, 2)), where no rows are dropped."""
     field = PrimeField(q)
     rows = hyperelliptic_rows(field, n)
-    reduced, weight = _orbit_representatives(field, 2 * n + 1, squarefree=True)
-    assert weight == (1 if (2 * n + 1) % q == 0 else q) and reduced.shape[0] * weight == rows.shape[0]
-    # the code prefix picks the family's rows with c_2n = 0, in the same order
-    assert np.array_equal(reduced, rows if weight == 1 else rows[rows[:, 2 * n] == 0])
     monic = monic_coeff_matrix(field, 2 * n + 1)
-    monic_reduced, _ = _orbit_representatives(field, 2 * n + 1, squarefree=False)
-    assert np.array_equal(monic_reduced, monic if weight == 1 else monic[monic[:, 2 * n] == 0])
+    # the rows summed: the family's rows with c_2n = 0, in the same order, or all of them
+    seen = []
+    curves = _family_sum(field, n, Partition({1: 1}), True, lambda r, j, m: seen.append(r) or 1)
+    assert curves == (rows.shape[0], rows.shape[0])
+    assert np.array_equal(seen[0], rows if (2 * n + 1) % q == 0 else rows[rows[:, 2 * n] == 0])
+    assert _family_sum(field, n, Partition(), False, None) == (monic.shape[0], monic.shape[0])
     full_sums = {j: weighted_char_sums(field, rows, j, "all_prime_powers").astype(object) for j in (1, 2)}
-    reduced_sums = {j: weighted_char_sums(field, reduced, j, "all_prime_powers").astype(object) for j in (1, 2)}
     symbols = {j: [symbols_batch(field, monic, p).astype(np.int64) for p in primes_of_degree(field, j)] for j in (1, 2)}
+
+    def power(rows, j, m):
+        return weighted_char_sums(field, rows, j, "all_prime_powers").astype(object) ** m
+
     for text in ("1^1", "1^2", "2^1", "1^1 2^1", "2^2", "1^3 2^1"):
         a = Partition.parse(text)
         full = int(math.prod(full_sums[j] ** m for j, m in a.items).sum())
-        assert weight * int(math.prod(reduced_sums[j] ** m for j, m in a.items).sum()) == full
+        assert _family_sum(field, n, a, True, power) == (full, rows.shape[0])
         expected = (-1) ** a.length * full / (rows.shape[0] * q ** (a.size / 2))
         assert empirical_moment(field, n, a) == expected
         for weighted in (False, True):
             assert _distinct_prime_sums(field, n, a, weighted) == full_distinct_prime_sum(symbols, a, weighted)
+
+
+@pytest.mark.parametrize("family_sum", [empirical_moment, char_sum_distinct_primes, char_sum_distinct_primes_weighted])
+def test_family_sums_refuse_over_budget_before_building_rows(monkeypatch, family_sum):
+    # q^7 fits the budget and q^8 does not: the part size 8 is refused before
+    # any family row is built
+    def unbuilt(*args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(ffield, "_code_rows", unbuilt)
+    with pytest.raises(BudgetExceeded, match=r"^q\^8 = 214358881 exceeds budget 100000000$"):
+        family_sum(PrimeField(11), 3, Partition({8: 1}))
 
 
 def test_empirical_moment_pinned_reduced_case():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -214,6 +215,23 @@ def test_guard_predicts_the_bytes_a_call_stores(monkeypatch):
         moment_quadrature(3, a)
     monkeypatch.setattr(haar, "_TABLE_BYTES", need)
     assert moment_quadrature(3, a) == pytest.approx(moment_usp(3, a), abs=1e-9)
+
+
+def test_quadrature_builds_hold_no_table_sized_temporaries(monkeypatch):
+    # the tuples are read into an array of their final size, and the weights
+    # and trace columns are formed one tuple column at a time, so a call on
+    # an empty store peaks near the bytes it stores (1.22, 1.20 and 1.33
+    # times; about 1.45, 1.60 and 1.83 with (tuples, n) temporaries)
+    for n, parts in ((3, {1: 120}), (4, {1: 60}), (4, {1: 58, 2: 1})):
+        monkeypatch.setattr(haar, "_tables", {})
+        monkeypatch.setattr(haar, "_table_bytes", 0)
+        tracemalloc.start()
+        try:
+            moment_quadrature(n, Partition(parts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * haar._table_bytes, (n, parts, peak / haar._table_bytes)
 
 
 def test_quadrature_refuses_before_building(monkeypatch):
